@@ -1,11 +1,12 @@
 """Exact polynomial sequences for natural exponential families.
 
 Builds the mean-derivative polynomial sequence attached to a family member
-with mean m0, by a four-term recurrence and independently by partition
-expansion, and verifies the characterization chain that ties a cubic
-variance function to 2-orthogonality, to the four-term recurrence, and to
-an exponential generating function: exactly over rationals, and in floating
-point against closed-form densities where the catalog supplies them.
+with mean m0, by a four-term recurrence and independently by the Faa di
+Bruno (complete Bell) recursion, and verifies the characterization chain
+that ties a cubic variance function to 2-orthogonality, to the four-term
+recurrence, and to an exponential generating function: exactly over
+rationals, and in floating point against closed-form densities where the
+catalog supplies them.
 """
 
 __version__ = "0.1.0"

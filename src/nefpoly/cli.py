@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,16 @@ def _rational(text: str) -> Fraction:
         return rat(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q' value: {text!r}") from exc
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -184,7 +195,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     opts = VerifyOptions(
         exact_order=args.n,
         abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
         checks=checks,
         inject_typo=args.inject_typo,
         m0=args.m0,
@@ -244,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="anchor mean (default: per-family anchor)")
     p_ver.add_argument("--checks", default=None,
                        help="comma-separated subset of: " + ",".join(ALL_CHECKS))
-    p_ver.add_argument("--abs-tol", type=float, default=None,
+    p_ver.add_argument("--abs-tol", type=_positive_float, default=None,
                        help="override the absolute tolerances of float checks")
-    p_ver.add_argument("--rel-tol", type=float, default=None,
-                       help="override the relative tolerances of float checks")
     p_ver.add_argument("--inject-typo", choices=INJECTABLE_TYPOS, default=None,
                        help="corrupt P_2 with the printed-table misprint first")
     p_ver.add_argument("--out", metavar="PATH", help="write the JSON report to a file")

@@ -50,7 +50,11 @@ def weighted_partial_sums(polys: Sequence[Poly], x: float, w: float) -> list[flo
 
 @dataclass(frozen=True)
 class ConvergenceProbe:
-    """Partial sums of the density series at one (x, m), with their target."""
+    """Partial sums of the density series at one (x, m), with their target.
+
+    A Sheffer probe is the same sum with weight w = t*z, so m = m0 + t*z;
+    it carries t and z and reports them in place of m.
+    """
 
     family: str
     m0: float
@@ -60,6 +64,8 @@ class ConvergenceProbe:
     partial_sums: tuple[float, ...]
     target: float
     abs_tol: float = 1e-8
+    t: float | None = None
+    z: float | None = None
 
     @property
     def residuals(self) -> tuple[float, ...]:
@@ -74,10 +80,11 @@ class ConvergenceProbe:
         return self.residual <= self.abs_tol
 
     def to_json(self) -> dict:
+        where = {"m": self.m} if self.t is None else {"t": self.t, "z": self.z}
         return {
             "family": self.family,
             "m0": self.m0,
-            "m": self.m,
+            **where,
             "x": self.x,
             "N": self.order,
             "residual": self.residual,
@@ -112,41 +119,6 @@ def partial_sum_density(
     )
 
 
-@dataclass(frozen=True)
-class ShefferProbe:
-    """Exponential generating function probe for the scaled sequence t^n P_n."""
-
-    family: str
-    m0: float
-    t: float
-    z: float
-    x: float
-    order: int
-    partial_sums: tuple[float, ...]
-    target: float
-    abs_tol: float = 1e-8
-
-    @property
-    def residual(self) -> float:
-        return abs(self.partial_sums[-1] - self.target)
-
-    @property
-    def converged(self) -> bool:
-        return self.residual <= self.abs_tol
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "m0": self.m0,
-            "t": self.t,
-            "z": self.z,
-            "x": self.x,
-            "N": self.order,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-
-
 def sheffer_check(
     seq: PolySequence,
     forms: RebasedForms,
@@ -155,7 +127,7 @@ def sheffer_check(
     x: float,
     order: int | None = None,
     abs_tol: float = 1e-8,
-) -> ShefferProbe:
+) -> ConvergenceProbe:
     """Compare sum_n t^n P_n(x) z^n / n! with exp{a(z) x + b(z)}.
 
     a(z) = psi(t z + m0) and b(z) = -k(a(z)), so the target is exactly the
@@ -172,16 +144,18 @@ def sheffer_check(
     tf = float(t)
     w = tf * z
     sums = weighted_partial_sums(seq.polys[: order + 1], x, w)
-    return ShefferProbe(
+    m = forms.m0 + w
+    return ConvergenceProbe(
         family=forms.family,
         m0=forms.m0,
-        t=tf,
-        z=z,
         x=x,
+        m=m,
         order=order,
         partial_sums=tuple(sums),
-        target=forms.density(x, forms.m0 + w),
+        target=forms.density(x, m),
         abs_tol=abs_tol,
+        t=tf,
+        z=z,
     )
 
 

@@ -85,6 +85,14 @@ class GramMatrix:
         """<P_n, P_q> / (n! q!), the natural bilinear-series coefficient."""
         return self.entries[n][q] / (math.factorial(n) * math.factorial(q))
 
+    def leading(self, order: int) -> GramMatrix:
+        """Leading block 0 <= n, q <= order: the Gram of the order-`order` prefix."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"Gram matrix only reaches order {self.order}")
+        return GramMatrix(
+            entries=tuple(row[: order + 1] for row in self.entries[: order + 1])
+        )
+
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
 

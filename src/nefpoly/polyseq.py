@@ -13,9 +13,14 @@ measure, taken at m = m0.  Two constructions are implemented:
   P_0 = 1 and P_1 = (x - m0)/a0;
 
 * the Faa di Bruno expansion of the n-th mean-derivative of
-  exp{psi(m) x - k(psi(m))}: a sum over integer partitions of n of products
-  of the linear polynomials g_j(x) = j! (psi_j x - (k o psi)_j), where
-  psi_j and (k o psi)_j are exact Taylor coefficients from the series layer.
+  exp{h(m)}, h(m) = psi(m) x - k(psi(m)), evaluated by the complete Bell
+  recurrence (D^{n+1} e^h = D^n (h' e^h)),
+
+      P_{n+1} = sum_{k=0}^{n} C(n, k) g_{k+1}(x) P_{n-k},
+
+  where g_j(x) = j! (psi_j x - (k o psi)_j) is the j-th mean-derivative of
+  h at m0, with psi_j and (k o psi)_j exact Taylor coefficients from the
+  series layer.  This route never calls the four-term recurrence.
 
 Agreement of the two, coefficient by coefficient in exact arithmetic, is one
 of the package's core verification targets.
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .nef_model import VarianceSpec, kpsi_series, psi_series
 from .ratpoly import Poly, RationalLike, X, rat
@@ -58,6 +62,14 @@ class PolySequence:
     def __getitem__(self, n: int) -> Poly:
         return self.polys[n]
 
+    def prefix(self, order: int) -> PolySequence:
+        """P_0..P_order of this sequence, as if built directly at that order."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"sequence only reaches order {self.order}")
+        return PolySequence(
+            spec=self.spec, polys=self.polys[: order + 1], provenance=self.provenance
+        )
+
 
 def recurrence_sequence(spec: VarianceSpec, order: int) -> PolySequence:
     """Generate P_0..P_order by the four-term recurrence."""
@@ -79,29 +91,12 @@ def recurrence_sequence(spec: VarianceSpec, order: int) -> PolySequence:
     return PolySequence(spec=spec, polys=tuple(polys), provenance="recurrence")
 
 
-def _partitions(n: int, max_part: int | None = None) -> Iterator[dict[int, int]]:
-    """Integer partitions of n as {part: multiplicity} dicts."""
-    if n == 0:
-        yield {}
-        return
-    if max_part is None:
-        max_part = n
-    for part in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - part, part):
-            out = dict(rest)
-            out[part] = out.get(part, 0) + 1
-            yield out
-
-
 def faa_di_bruno_sequence(spec: VarianceSpec, order: int) -> PolySequence:
-    """Generate P_0..P_order by partition expansion of the mean derivatives.
+    """Generate P_0..P_order from the mean derivatives by the Bell recurrence.
 
-    P_n = sum over partitions (1^{k_1} 2^{k_2} ... n^{k_n}) of n of
-
-        n! / (k_1! ... k_n!) * prod_j (g_j(x)/j!)^{k_j},
-
-    with g_j(x) the j-th mean-derivative at m0 of psi(m) x - k(psi(m)),
-    a degree-1 polynomial obtained exactly from the series layer.
+    P_{n+1} = sum_{k=0}^{n} C(n, k) g_{k+1}(x) P_{n-k}, with g_j(x) the j-th
+    mean-derivative at m0 of psi(m) x - k(psi(m)), a degree-1 polynomial
+    obtained exactly from the series layer.  O(order^2) polynomial products.
     """
     if order < 0:
         raise ValueError("sequence order must be >= 0")
@@ -113,16 +108,10 @@ def faa_di_bruno_sequence(spec: VarianceSpec, order: int) -> PolySequence:
         for j in range(1, order + 1):
             fj = math.factorial(j)
             g.append(Poly((-fj * kpsi[j], fj * psi[j])))
-        for n in range(1, order + 1):
+        for n in range(order):
             total = Poly.zero()
-            n_fact = math.factorial(n)
-            for part in _partitions(n):
-                weight = Fraction(n_fact)
-                term = Poly.one()
-                for j, kj in part.items():
-                    weight /= math.factorial(kj) * math.factorial(j) ** kj
-                    term = term * g[j] ** kj
-                total = total + term.scale(weight)
+            for k in range(n + 1):
+                total = total + (g[k + 1] * polys[n - k]).scale(math.comb(n, k))
             polys.append(total)
     return PolySequence(spec=spec, polys=tuple(polys), provenance="faadibruno")
 

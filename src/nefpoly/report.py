@@ -10,7 +10,7 @@ comparisons exclude.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import __version__
 from .families import Family
@@ -20,8 +20,9 @@ from .genfun import (
     quadrature_crosscheck,
     sheffer_check,
 )
-from .nef_model import VarianceSpec, moment_table
+from .nef_model import moment_table
 from .ortho import (
+    GramMatrix,
     check_full_orthogonality,
     check_two_orthogonality,
     fit_recurrence,
@@ -42,36 +43,29 @@ ALL_CHECKS = ("two-ortho", "full-ortho", "bruno", "recover", "genfun")
 INJECTABLE_TYPOS = ("table1-p2",)
 
 
+# Pinned scopes and default absolute tolerances of the float checks.  The
+# series probes sum P_0..P_30, the bilinear probe reads the order-20 Gram
+# and quadrature covers n + q <= 8; none of them follows --n.
+SERIES_ORDER = 30
+BILINEAR_ORDER = 20
+QUAD_ORDER = 8
+SERIES_ABS_TOL = 1e-8
+BILINEAR_ABS_TOL = 1e-6
+QUAD_ABS_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class VerifyOptions:
     """Tunable knobs of a verification run; defaults are the accepted ones."""
 
     exact_order: int = 12
-    bruno_order: int = 10
-    series_order: int = 30
-    bilinear_order: int = 20
-    abs_tol: float | None = None  # None: per-check defaults below
-    rel_tol: float | None = None
+    abs_tol: float | None = None  # None: the per-check defaults above
     checks: tuple[str, ...] = ALL_CHECKS
     inject_typo: str | None = None
     m0: RationalLike | None = None
 
-    # per-check baked-in absolute tolerances
-    series_abs_tol: float = 1e-8
-    bilinear_abs_tol: float = 1e-6
-    quad_abs_tol: float = 1e-6
-
-    def tol_series(self) -> float:
-        return self.abs_tol if self.abs_tol is not None else self.series_abs_tol
-
-    def tol_bilinear(self) -> float:
-        return self.abs_tol if self.abs_tol is not None else self.bilinear_abs_tol
-
-    def tol_quad(self) -> float:
-        return self.abs_tol if self.abs_tol is not None else self.quad_abs_tol
-
-    def tol_rel(self) -> float:
-        return self.rel_tol if self.rel_tol is not None else 1e-6
+    def tol(self, default: float) -> float:
+        return default if self.abs_tol is None else self.abs_tol
 
 
 def _default_anchor(family: Family) -> RationalLike:
@@ -90,11 +84,12 @@ def _probe_points(family: Family) -> tuple[tuple[float, ...], tuple[float, ...]]
 
 def _genfun_block(
     family: Family,
-    spec: VarianceSpec,
+    seq: PolySequence,
+    g: GramMatrix,
     opts: VerifyOptions,
 ) -> tuple[dict, bool]:
-    forms = family.rebase(spec.m0)
-    seq = recurrence_sequence(spec, opts.series_order)
+    """Float probes on the shared sequence (order >= 30) and Gram (order >= 20)."""
+    forms = family.rebase(seq.m0)
     ok = True
 
     xs, dms = _probe_points(family)
@@ -103,7 +98,7 @@ def _genfun_block(
         for x in xs:
             probe = partial_sum_density(
                 seq, forms, x=x, m=forms.m0 + dm,
-                order=opts.series_order, abs_tol=opts.tol_series(),
+                order=SERIES_ORDER, abs_tol=opts.tol(SERIES_ABS_TOL),
             )
             partial.append(probe.to_json())
             ok = ok and probe.converged
@@ -113,37 +108,30 @@ def _genfun_block(
         for x in xs:
             probe = sheffer_check(
                 seq, forms, t=rat("1/2"), z=z, x=x,
-                order=opts.series_order, abs_tol=opts.tol_series(),
+                order=SERIES_ORDER, abs_tol=opts.tol(SERIES_ABS_TOL),
             )
             sheffer.append(probe.to_json())
             ok = ok and probe.converged
 
-    g_bi = gram(
-        recurrence_sequence(spec, opts.bilinear_order),
-        moment_table(spec, 2 * opts.bilinear_order),
-    )
     bilinear = []
     for dm in (-0.05, 0.0, 0.05):
         for dmp in (-0.05, 0.0, 0.05):
             probe = bilinear_identity(
-                forms, g_bi, m=forms.m0 + dm, m_prime=forms.m0 + dmp,
-                order=opts.bilinear_order, abs_tol=opts.tol_bilinear(),
+                forms, g, m=forms.m0 + dm, m_prime=forms.m0 + dmp,
+                order=BILINEAR_ORDER, abs_tol=opts.tol(BILINEAR_ABS_TOL),
             )
             bilinear.append(probe.to_json())
             ok = ok and probe.converged
 
     quadrature = None
     if forms.has_base_density and forms.support == (0.0, float("inf")):
-        # quadrature scope is pinned at n + q <= 8, independent of --n
-        seq_q = recurrence_sequence(spec, 8)
-        g_q = gram(seq_q, moment_table(spec, 16))
         quadrature = []
-        for n in range(0, 9):
-            for q in range(n, 9 - n):
-                res = quadrature_crosscheck(forms, seq_q, n, q)
-                exact = g_q.entry(n, q)
+        for n in range(0, QUAD_ORDER + 1):
+            for q in range(n, QUAD_ORDER + 1 - n):
+                res = quadrature_crosscheck(forms, seq, n, q)
+                exact = g.entry(n, q)
                 diff = abs(res.value - float(exact))
-                entry_ok = res.converged and diff <= opts.tol_quad()
+                entry_ok = res.converged and diff <= opts.tol(QUAD_ABS_TOL)
                 quadrature.append(
                     {
                         "n": n,
@@ -191,7 +179,16 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
     m0 = rat(opts.m0) if opts.m0 is not None else rat(_default_anchor(family))
     spec = family.variance_at(m0)
     order = max(opts.exact_order, 4)
-    seq = recurrence_sequence(spec, order)
+    run_genfun = "genfun" in opts.checks and family.closed_forms is not None
+    # One build per route: the exact checks read the leading order-`order`
+    # block, the genfun probes the whole of it.
+    seq_order = max(order, SERIES_ORDER) if run_genfun else order
+    gram_order = max(order, BILINEAR_ORDER) if run_genfun else order
+    seq_full = recurrence_sequence(spec, seq_order)
+    moments = moment_table(spec, 2 * gram_order)
+    g_full = gram(seq_full.prefix(gram_order), moments)
+    seq = seq_full.prefix(order)
+    g_ortho = g_full.leading(order)
 
     injected = False
     seq_ortho = seq
@@ -205,10 +202,8 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
         seq_ortho = PolySequence(
             spec=spec, polys=tuple(polys), provenance="recurrence+injected-typo"
         )
+        g_ortho = gram(seq_ortho, moments)
         injected = True
-
-    moments = moment_table(spec, 2 * order)
-    g_ortho = gram(seq_ortho, moments)
 
     checks: dict[str, dict | None] = {name: None for name in ALL_CHECKS}
     passed = True
@@ -233,12 +228,10 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
         passed = passed and ok
 
     if "bruno" in opts.checks:
-        rec = recurrence_sequence(spec, opts.bruno_order)
-        fdb = faa_di_bruno_sequence(spec, opts.bruno_order)
-        diff = compare_sequences(rec, fdb)
+        diff = compare_sequences(seq, faa_di_bruno_sequence(spec, order))
         ok = diff.identical
         checks["bruno"] = {
-            "order": opts.bruno_order,
+            "order": order,
             "diff_count": len(diff.mismatches),
             "diff_indices": [n for n, _, _ in diff.mismatches],
             "pass": ok,
@@ -268,8 +261,8 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
         }
         passed = passed and ok
 
-    if "genfun" in opts.checks and family.closed_forms is not None:
-        block, ok = _genfun_block(family, spec, opts)
+    if run_genfun:
+        block, ok = _genfun_block(family, seq_full, g_full, opts)
         checks["genfun"] = block
         passed = passed and ok
 
@@ -329,11 +322,9 @@ def build_report(families: list[Family], opts: VerifyOptions) -> tuple[dict, boo
         "body": {
             "settings": {
                 "exact_order": opts.exact_order,
-                "bruno_order": opts.bruno_order,
-                "series_order": opts.series_order,
-                "bilinear_order": opts.bilinear_order,
+                "series_order": SERIES_ORDER,
+                "bilinear_order": BILINEAR_ORDER,
                 "abs_tol": opts.abs_tol,
-                "rel_tol": opts.rel_tol,
                 "checks": list(opts.checks),
                 "inject_typo": opts.inject_typo,
                 "m0": None if opts.m0 is None else str(rat(opts.m0)),
@@ -344,7 +335,3 @@ def build_report(families: list[Family], opts: VerifyOptions) -> tuple[dict, boo
     }
     return report, overall
 
-
-def options_with(base: VerifyOptions | None = None, **kw) -> VerifyOptions:
-    """Small helper for building option variants (used by the CLI)."""
-    return replace(base or VerifyOptions(), **kw)

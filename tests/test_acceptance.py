@@ -85,7 +85,7 @@ def test_criterion_3_recurrence_equals_partition_expansion():
                 recurrence_sequence(spec, 10), faa_di_bruno_sequence(spec, 10)
             )
             ok = ok and diff.identical
-    announce(3, ok, "recurrence == partition expansion, all families, m0 in {1, 3/2}")
+    announce(3, ok, "recurrence == Faa di Bruno (Bell recursion), all families, m0 in {1, 3/2}")
     assert ok
 
 

@@ -149,6 +149,22 @@ class TestVerify:
         assert two["pass"] is False
         assert {"n": 2, "q": 1, "value": "-1"} in two["violations"]
 
+    def test_bruno_follows_n(self, capsys):
+        code, out = run(capsys, "verify", "ig", "--n", "16", "--checks", "bruno")
+        assert code == 0
+        block = json.loads(out)["body"]["families"][0]
+        assert block["checks"]["bruno"]["order"] == block["checked_order"] == 16
+
+    def test_rel_tol_flag_removed(self, capsys):
+        assert main(["verify", "ig", "--rel-tol", "1e-3"]) == 2
+
+    @pytest.mark.parametrize("value", ("nan", "-1", "0", "inf"))
+    def test_abs_tol_must_be_finite_and_positive(self, capsys, value):
+        code = main(["verify", "normal", "--checks", "genfun", f"--abs-tol={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "argument --abs-tol: must be a finite number > 0" in err
+
     def test_report_body_deterministic(self, capsys):
         _, first = run(capsys, "verify", "ig", "--checks", "two-ortho,recover", "--n", "6")
         _, second = run(capsys, "verify", "ig", "--checks", "two-ortho,recover", "--n", "6")

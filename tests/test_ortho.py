@@ -89,6 +89,17 @@ class TestGram:
         assert g.normalized(2, 2) == 2
         assert g.normalized(2, 3) == Fraction(1, 2)
 
+    def test_leading_block_equals_direct_build(self):
+        for family in CATALOG.values():
+            for m0 in (Fraction(1), Fraction(7, 9)):
+                spec = family.variance_at(m0)
+                g20 = gram(recurrence_sequence(spec, 20), moment_table(spec, 40))
+                for k in (0, 4, 12):
+                    direct = gram(recurrence_sequence(spec, k), moment_table(spec, 2 * k))
+                    assert g20.leading(k) == direct, (family.name, m0, k)
+        with pytest.raises(ValueError):
+            g20.leading(21)
+
 
 class TestTwoOrthogonality:
     def test_ig_to_order_twelve(self):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -74,12 +75,42 @@ class TestFaaDiBruno:
 
     def test_agrees_with_recurrence_everywhere(self):
         for family in CATALOG.values():
-            for m0 in ANCHORS:
+            for m0 in ANCHORS + (Fraction(7, 9),):
                 spec = family_anchor(family, m0)
                 diff = compare_sequences(
-                    recurrence_sequence(spec, 10), faa_di_bruno_sequence(spec, 10)
+                    recurrence_sequence(spec, 16), faa_di_bruno_sequence(spec, 16)
                 )
                 assert diff.identical, (family.name, m0, diff.mismatches[:1])
+
+    @pytest.mark.parametrize("name, power", (("ig", 3), ("gamma", 2)))
+    def test_matches_sympy_mean_derivatives(self, name, power):
+        # Oracle sharing no code with either route: for V(m) = m**power,
+        # psi and k o psi as sympy integrals of 1/V and m/V from m0 = 1, then
+        # P_n as the n-th m-derivative of exp{psi x - k(psi)} at m0.
+        m, u, x = sympy.symbols("m u x")
+        V = u**power
+        spec = lookup(name).variance_at(1)
+        assert sympy.expand(V.subs(u, 1 + u)) == sum(c * u**k for k, c in enumerate(spec.a))
+        psi = sympy.integrate(1 / V, (u, 1, m))
+        kpsi = sympy.integrate(u / V, (u, 1, m))
+        density = sympy.exp(psi * x - kpsi)
+        seq = faa_di_bruno_sequence(spec, 8)
+        for n in range(9):
+            at_m0 = sympy.Poly(sympy.expand(density.subs(m, 1)), x)
+            expected = [Fraction(int(c.p), int(c.q)) for c in at_m0.all_coeffs()[::-1]]
+            assert list(seq[n].coeffs) == expected, (name, n)
+            density = sympy.diff(density, m)
+
+
+def test_prefix_equals_direct_build():
+    for family in CATALOG.values():
+        for m0 in (Fraction(1), Fraction(7, 9)):
+            spec = family.variance_at(m0)
+            long = recurrence_sequence(spec, 20)
+            for k in (0, 4, 12, 20):
+                assert long.prefix(k) == recurrence_sequence(spec, k), (family.name, m0, k)
+    with pytest.raises(ValueError):
+        long.prefix(21)
 
 
 class TestCompare:
