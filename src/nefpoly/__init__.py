@@ -28,7 +28,6 @@ from .nef_model import (
     VarianceSpec,
     cumulant_polynomials,
     cumulants,
-    cumulants_via_inversion,
     kpsi_series,
     moment_table,
     psi_series,
@@ -53,7 +52,7 @@ from .polyseq import (
     recurrence_sequence,
     scale_sequence,
 )
-from .ratpoly import Poly, Rational, X, rat
+from .ratpoly import Poly, X, rat
 
 __all__ = [
     "CATALOG",
@@ -68,7 +67,6 @@ __all__ = [
     "OrthoReport",
     "Poly",
     "PolySequence",
-    "Rational",
     "RebasedForms",
     "SingularVarianceError",
     "UnsupportedFamilyError",
@@ -80,7 +78,6 @@ __all__ = [
     "compare_sequences",
     "cumulant_polynomials",
     "cumulants",
-    "cumulants_via_inversion",
     "faa_di_bruno_sequence",
     "fit_recurrence",
     "gram",

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .families import CATALOG, Family, lookup
 from .nef_model import NefError, moment_table
-from .ortho import gram
+from .ortho import forced_zero, gram
 from .polyseq import recurrence_sequence
 from .ratpoly import rat
-from .report import ALL_CHECKS, INJECTABLE_TYPOS, VerifyOptions, build_report
+from .report import ALL_CHECKS, INJECTABLE_TYPOS, MIN_EXACT_ORDER, VerifyOptions, build_report
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 1
@@ -28,6 +28,29 @@ def _rational(text: str) -> Fraction:
         return rat(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q' value: {text!r}") from exc
+
+
+def _order_at_least(minimum: int):
+    """argparse type: an integer order >= minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return integer
+
+
+def _bind_negative_m0(argv: list[str]) -> list[str]:
+    """Join '--m0 -p/q' into '--m0=-p/q': argparse reads a lone '-3/7' as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--m0" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _positive_float(text: str) -> float:
@@ -152,12 +175,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
             row = []
             for q in range(g.order + 1):
                 v = g.entry(n, q)
-                required = (
-                    (n >= 1 and q == 0)
-                    or (q >= 1 and n == 0)
-                    or (n >= 1 and q >= 1 and (n >= 2 * q or q >= 2 * n))
-                )
-                if required:
+                if forced_zero(n, q):
                     row.append("." if v == 0 else f"!{v}")
                 else:
                     row.append(str(v))
@@ -212,7 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--m0", type=_rational, default=Fraction(1),
                    help="anchor mean as a rational 'p/q' (default 1)")
-    p.add_argument("--n", type=int, default=12, help="order N (default 12)")
+    p.add_argument("--n", type=_order_at_least(0), default=12,
+                   help="order N >= 0 (default 12)")
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
 
@@ -248,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("families", nargs="*", help="family names (or use --all)")
     p_ver.add_argument("--all", action="store_true", help="verify the whole catalog")
-    p_ver.add_argument("--n", type=int, default=12,
-                       help="order for the exact suites (default 12)")
+    p_ver.add_argument("--n", type=_order_at_least(MIN_EXACT_ORDER), default=12,
+                       help=f"order for the exact suites, >= {MIN_EXACT_ORDER} (default 12)")
     p_ver.add_argument("--m0", type=_rational, default=None,
                        help="anchor mean (default: per-family anchor)")
     p_ver.add_argument("--checks", default=None,
@@ -267,16 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_m0(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code or 0)
     try:
         return args.func(args)
     except NefError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

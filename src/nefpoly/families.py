@@ -39,15 +39,13 @@ class ClosedForms:
     """Float closed forms of a generating base measure.
 
     ``psi`` maps a mean to the canonical parameter of the *un-anchored*
-    family; ``cumulant`` and ``mean_of`` are k(theta) and k'(theta) for the
-    same normalization.  ``log_density0`` is the log density of the
-    generating measure itself (None for lattice families, where quadrature
-    is meaningless).
+    family; ``cumulant`` is k(theta) for the same normalization.
+    ``log_density0`` is the log density of the generating measure itself
+    (None for lattice families, where quadrature is meaningless).
     """
 
     psi: Callable[[float], float]
     cumulant: Callable[[float], float]
-    mean_of: Callable[[float], float]
     log_density0: Callable[[float], float] | None
     support: tuple[float, float]
 
@@ -83,9 +81,6 @@ class RebasedForms:
         return self._forms.cumulant(theta + self.theta0) - self._forms.cumulant(
             self.theta0
         )
-
-    def cumulant_prime(self, theta: float) -> float:
-        return self._forms.mean_of(theta + self.theta0)
 
     def density(self, x: float, m: float) -> float:
         """f(x, m) = exp{psi(m) x - k(psi(m))}, the tilt toward mean m."""
@@ -193,7 +188,6 @@ def inverse_gaussian(p: RationalLike = 1) -> Family:
     forms = ClosedForms(
         psi=lambda m: -pf * pf / (2.0 * m * m),
         cumulant=lambda t: -pf * math.sqrt(-2.0 * t),
-        mean_of=lambda t: pf / math.sqrt(-2.0 * t),
         log_density0=lambda x: (
             math.log(pf)
             - 0.5 * math.log(2.0 * math.pi)
@@ -281,7 +275,6 @@ def normal() -> Family:
     forms = ClosedForms(
         psi=lambda m: m,
         cumulant=lambda t: 0.5 * t * t,
-        mean_of=lambda t: t,
         log_density0=lambda x: -0.5 * x * x - 0.5 * math.log(2.0 * math.pi),
         support=(-math.inf, math.inf),
     )
@@ -300,7 +293,6 @@ def poisson() -> Family:
     forms = ClosedForms(
         psi=math.log,
         cumulant=lambda t: math.exp(t) - 1.0,
-        mean_of=math.exp,
         log_density0=None,
         support=(0.0, math.inf),
     )
@@ -351,7 +343,6 @@ def gamma(shape: RationalLike = 1) -> Family:
     forms = ClosedForms(
         psi=lambda m: 1.0 - lf / m,
         cumulant=lambda t: -lf * math.log1p(-t),
-        mean_of=lambda t: lf / (1.0 - t),
         log_density0=lambda x: (lf - 1.0) * math.log(x) - x - math.lgamma(lf),
         support=(0.0, math.inf),
     )
@@ -415,10 +406,3 @@ def lookup(name: str) -> Family:
             f"unknown family '{name}' (known: {known})"
         ) from None
 
-
-def cubic_families() -> list[Family]:
-    return [f for f in CATALOG.values() if f.variance_class == "cubic"]
-
-
-def quadratic_families() -> list[Family]:
-    return [f for f in CATALOG.values() if f.variance_class == "quadratic"]

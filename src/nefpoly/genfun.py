@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from scipy import integrate as _integrate
 
@@ -33,6 +33,8 @@ from .families import RebasedForms
 from .ortho import GramMatrix
 from .polyseq import PolySequence
 from .ratpoly import Poly, RationalLike, rat
+
+T = TypeVar("T")
 
 
 def weighted_partial_sums(polys: Sequence[Poly], x: float, w: float) -> list[float]:
@@ -48,12 +50,21 @@ def weighted_partial_sums(polys: Sequence[Poly], x: float, w: float) -> list[flo
     return sums
 
 
+def _closed_form(evaluate: Callable[[], T], failed: T = math.nan) -> tuple[T, str | None]:
+    """(value, None), or (failed, reason) when a closed form cannot be evaluated."""
+    try:
+        return evaluate(), None
+    except (OverflowError, ValueError) as exc:  # MeanDomainError is a ValueError
+        return failed, f"{type(exc).__name__}: {exc}"
+
+
 @dataclass(frozen=True)
 class ConvergenceProbe:
     """Partial sums of the density series at one (x, m), with their target.
 
     A Sheffer probe is the same sum with weight w = t*z, so m = m0 + t*z;
-    it carries t and z and reports them in place of m.
+    it carries t and z and reports them in place of m.  ``reason`` says why
+    the target could not be evaluated, if it could not.
     """
 
     family: str
@@ -66,6 +77,7 @@ class ConvergenceProbe:
     abs_tol: float = 1e-8
     t: float | None = None
     z: float | None = None
+    reason: str | None = None
 
     @property
     def residuals(self) -> tuple[float, ...]:
@@ -77,7 +89,7 @@ class ConvergenceProbe:
 
     @property
     def converged(self) -> bool:
-        return self.residual <= self.abs_tol
+        return self.reason is None and self.residual <= self.abs_tol
 
     def to_json(self) -> dict:
         where = {"m": self.m} if self.t is None else {"t": self.t, "z": self.z}
@@ -89,6 +101,7 @@ class ConvergenceProbe:
             "N": self.order,
             "residual": self.residual,
             "converged": self.converged,
+            **({} if self.reason is None else {"residual": None, "reason": self.reason}),
         }
 
 
@@ -107,6 +120,7 @@ def partial_sum_density(
         raise ValueError(f"sequence only reaches order {seq.order}")
     w = m - forms.m0
     sums = weighted_partial_sums(seq.polys[: order + 1], x, w)
+    target, reason = _closed_form(lambda: forms.density(x, m))
     return ConvergenceProbe(
         family=forms.family,
         m0=forms.m0,
@@ -114,8 +128,9 @@ def partial_sum_density(
         m=m,
         order=order,
         partial_sums=tuple(sums),
-        target=forms.density(x, m),
+        target=target,
         abs_tol=abs_tol,
+        reason=reason,
     )
 
 
@@ -145,6 +160,7 @@ def sheffer_check(
     w = tf * z
     sums = weighted_partial_sums(seq.polys[: order + 1], x, w)
     m = forms.m0 + w
+    target, reason = _closed_form(lambda: forms.density(x, m))
     return ConvergenceProbe(
         family=forms.family,
         m0=forms.m0,
@@ -152,10 +168,11 @@ def sheffer_check(
         m=m,
         order=order,
         partial_sums=tuple(sums),
-        target=forms.density(x, m),
+        target=target,
         abs_tol=abs_tol,
         t=tf,
         z=z,
+        reason=reason,
     )
 
 
@@ -169,6 +186,7 @@ class BilinearProbe:
     lhs: float
     rhs: float
     abs_tol: float = 1e-6
+    reason: str | None = None  # why lhs could not be evaluated, if it could not
 
     @property
     def residual(self) -> float:
@@ -176,7 +194,7 @@ class BilinearProbe:
 
     @property
     def converged(self) -> bool:
-        return self.residual <= self.abs_tol
+        return self.reason is None and self.residual <= self.abs_tol
 
     def to_json(self) -> dict:
         return {
@@ -187,6 +205,7 @@ class BilinearProbe:
             "N": self.order,
             "residual": self.residual,
             "converged": self.converged,
+            **({} if self.reason is None else {"residual": None, "reason": self.reason}),
         }
 
 
@@ -207,10 +226,12 @@ def bilinear_identity(
         order = g.order
     if order > g.order:
         raise ValueError(f"Gram matrix only reaches order {g.order}")
-    th, tp = forms.psi(m), forms.psi(m_prime)
-    lhs = math.exp(
-        forms.cumulant(th + tp) - forms.cumulant(th) - forms.cumulant(tp)
-    )
+
+    def lhs_of() -> float:
+        th, tp = forms.psi(m), forms.psi(m_prime)
+        return math.exp(forms.cumulant(th + tp) - forms.cumulant(th) - forms.cumulant(tp))
+
+    lhs, reason = _closed_form(lhs_of)
     u, v = m - forms.m0, m_prime - forms.m0
     upow = 1.0
     rhs = 1.0
@@ -231,6 +252,7 @@ def bilinear_identity(
         lhs=lhs,
         rhs=rhs,
         abs_tol=abs_tol,
+        reason=reason,
     )
 
 
@@ -241,24 +263,18 @@ class QuadratureResult:
     value: float
     error_estimate: float
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "converged": self.converged,
-        }
+    reason: str | None = None  # why the base density could not be evaluated
 
 
-def _integrate_halfline(
-    f: Callable[[float], float],
-    start: float,
-    growth: float = 4.0,
-    stop_below: float = 1e-13,
-    cap: float = 1e20,
-) -> tuple[float, float]:
+PANEL_GROWTH = 4.0  # each half-line panel is this many times as wide as the last
+PANEL_NEGLIGIBLE = 1e-13  # a panel contribution below this counts as negligible
+PANEL_CAP = 1e20  # no panel starts past this point
+# A quadrature converges when its error is <= max(ABS_TARGET, REL_TARGET * |value|).
+QUAD_REL_TARGET = 1e-8
+QUAD_ABS_TARGET = 1e-7
+
+
+def _integrate_halfline(f: Callable[[float], float], start: float) -> tuple[float, float]:
     """Adaptive quadrature of f over [start, inf) by geometric panels.
 
     A single QUADPACK call on an interval spanning many decades can place
@@ -274,14 +290,14 @@ def _integrate_halfline(
     err = 0.0
     left = start
     small = 0
-    while left < cap and small < 2:
-        right = left * growth
+    while left < PANEL_CAP and small < 2:
+        right = left * PANEL_GROWTH
         v, e = _integrate.quad(f, left, right, epsabs=1e-14, epsrel=1e-12, limit=100)
         total += v
         err += e
-        small = small + 1 if abs(v) < stop_below else 0
+        small = small + 1 if abs(v) < PANEL_NEGLIGIBLE else 0
         left = right
-    return total, err + stop_below
+    return total, err + PANEL_NEGLIGIBLE
 
 
 def quadrature_crosscheck(
@@ -289,15 +305,14 @@ def quadrature_crosscheck(
     seq: PolySequence,
     n: int,
     q: int,
-    rel_target: float = 1e-8,
-    abs_target: float = 1e-7,
 ) -> QuadratureResult:
     """Numerically integrate P_n P_q against the base density on its support.
 
     The lower tail is handled by the substitution y = 1/x (the density's
     x -> 0+ behaviour is quadrature-hostile otherwise); both half-lines are
     swept by geometric panels until the remaining contributions are
-    negligible.  Non-convergence is reported through the flag, never raised.
+    negligible.  Non-convergence, and a base density that cannot be
+    evaluated (``reason``), are reported through the flag, never raised.
     """
     pn, pq = seq.polys[n], seq.polys[q]
 
@@ -313,15 +328,17 @@ def quadrature_crosscheck(
     def lower_sub(y: float) -> float:  # x = 1/y on (0, split]
         return integrand(1.0 / y) / (y * y)
 
-    with warnings.catch_warnings():
-        # QUADPACK roundoff chatter is not a verdict; the achieved error
-        # bounds below are.
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        v1, e1 = _integrate_halfline(lower_sub, 1.0 / split)
-        v2, e2 = _integrate_halfline(integrand, split)
-    value = v1 + v2
-    err = e1 + e2
-    converged = err <= max(abs_target, rel_target * abs(value))
+    def integral() -> tuple[float, float]:
+        with warnings.catch_warnings():
+            # QUADPACK roundoff chatter is not a verdict; the achieved error
+            # bounds below are.
+            warnings.simplefilter("ignore", _integrate.IntegrationWarning)
+            v1, e1 = _integrate_halfline(lower_sub, 1.0 / split)
+            v2, e2 = _integrate_halfline(integrand, split)
+        return v1 + v2, e1 + e2
+
+    (value, err), reason = _closed_form(integral, failed=(math.nan, math.inf))
+    converged = err <= max(QUAD_ABS_TARGET, QUAD_REL_TARGET * abs(value))  # err = inf on failure
     return QuadratureResult(
-        n=n, q=q, value=value, error_estimate=err, converged=converged
+        n=n, q=q, value=value, error_estimate=err, converged=converged, reason=reason
     )

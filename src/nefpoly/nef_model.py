@@ -14,9 +14,6 @@ Everything exact in this package is driven by those four coefficients:
 * the Taylor series of the canonical-parameter map psi(m0 + u) and of the
   composed cumulant function (k o psi)(m0 + u), obtained by antidifferentiating
   1/V and (m0 + u)/V, since d(psi)/dm = 1/V and d(k o psi)/dm = m/V.
-
-A second, independent route to the cumulants (reverting the series of
-m -> theta and composing) is provided as a cross-check.
 """
 
 from __future__ import annotations
@@ -83,10 +80,6 @@ class VarianceSpec:
     @property
     def a3(self) -> Fraction:
         return self.a[3]
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.a3 == 0
 
     def variance_poly(self) -> Poly:
         """V(m0 + u) as an exact polynomial in u."""
@@ -191,17 +184,3 @@ def kpsi_series(spec: VarianceSpec, order: int) -> list[Fraction]:
     integrand = series.multiply([spec.m0, Fraction(1)], recip, order - 1)
     return series.integrate(integrand, order)
 
-
-def cumulants_via_inversion(spec: VarianceSpec, order: int) -> CumulantTable:
-    """Cumulants by the series route, independently of the V * d/dm chain.
-
-    Revert theta = psi(m0 + u) to get u(theta), compose with the series of
-    (k o psi), and read kappa_n = n! * [theta**n] k(theta).
-    """
-    theta_of_u = psi_series(spec, order)
-    u_of_theta = series.revert(theta_of_u, order)
-    k_of_theta = series.compose(kpsi_series(spec, order), u_of_theta, order)
-    kappa = tuple(
-        k_of_theta[n] * math.factorial(n) for n in range(order + 1)
-    )
-    return CumulantTable(m0=spec.m0, kappa=kappa)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .nef_model import MomentTable, NefError, VarianceSpec
+from .nef_model import MomentTable, NefError
 from .polyseq import PolySequence
 from .ratpoly import Poly, X
 
@@ -109,6 +109,11 @@ def gram(seq: PolySequence, moments: MomentTable) -> GramMatrix:
     return GramMatrix(entries=tuple(tuple(r) for r in rows))
 
 
+def forced_zero(n: int, q: int) -> bool:
+    """True where 2-orthogonality forces G[n][q] = 0: n >= 2q or q >= 2n, (n, q) != (0, 0)."""
+    return (n, q) != (0, 0) and (n >= 2 * q or q >= 2 * n)
+
+
 @dataclass(frozen=True)
 class Violation:
     n: int
@@ -132,20 +137,15 @@ class OrthoReport:
     violations: tuple[Violation, ...]
     recovered: RecoveredVariance | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != "neither"
-
 
 def _two_ortho_violations(g: GramMatrix) -> list[Violation]:
-    bad = []
-    for n in range(1, g.order + 1):
-        if g.entry(n, 0) != 0:
-            bad.append(Violation(n, 0, g.entry(n, 0)))
-        for q in range(1, n // 2 + 1):
-            if n >= 2 * q and g.entry(n, q) != 0:
-                bad.append(Violation(n, q, g.entry(n, q)))
-    return bad
+    """Nonzero forced entries of the lower triangle, row by row."""
+    return [
+        Violation(n, q, g.entry(n, q))
+        for n in range(1, g.order + 1)
+        for q in range(n)
+        if forced_zero(n, q) and g.entry(n, q) != 0
+    ]
 
 
 def check_two_orthogonality(g: GramMatrix) -> OrthoReport:
@@ -237,14 +237,6 @@ class RecurrenceFit:
     @property
     def exact(self) -> bool:
         return not self.residuals
-
-    def variance_spec(self) -> VarianceSpec:
-        if self.residuals:
-            raise NonNefSequenceError(
-                f"sequence leaves {len(self.residuals)} residual terms "
-                "outside the four-term band"
-            )
-        return VarianceSpec(m0=self.m0, a=self.a)
 
 
 def fit_recurrence(seq: PolySequence) -> RecurrenceFit:

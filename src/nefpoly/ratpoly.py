@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 #: Degree of the zero polynomial.  A distinct sentinel (not -1) so that
@@ -62,21 +61,6 @@ class Poly:
     @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: RationalLike = 1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
-
-    @classmethod
-    def from_strings(cls, coeffs: Iterable[str]) -> "Poly":
-        """Inverse of :meth:`to_strings` (lowest degree first)."""
-        return cls(Fraction(c) for c in coeffs)
 
     # -- structure ---------------------------------------------------------
 
@@ -192,23 +176,12 @@ class Poly:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_rational(self, x: RationalLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_float(self, x: float) -> float:
         """Double-precision Horner evaluation."""
         acc = 0.0
         for c in reversed(self._coeffs):
             acc = acc * x + float(c)
         return acc
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        return self.eval_rational(x)
 
     # -- comparison / hashing ----------------------------------------------
 

@@ -42,6 +42,9 @@ ALL_CHECKS = ("two-ortho", "full-ortho", "bruno", "recover", "genfun")
 
 INJECTABLE_TYPOS = ("table1-p2",)
 
+#: Lowest order of the exact checks: the recurrence fit reads P_0..P_4.
+MIN_EXACT_ORDER = 4
+
 
 # Pinned scopes and default absolute tolerances of the float checks.  The
 # series probes sum P_0..P_30, the bilinear probe reads the order-20 Gram
@@ -63,6 +66,10 @@ class VerifyOptions:
     checks: tuple[str, ...] = ALL_CHECKS
     inject_typo: str | None = None
     m0: RationalLike | None = None
+
+    def __post_init__(self) -> None:
+        if self.exact_order < MIN_EXACT_ORDER:
+            raise ValueError(f"exact_order must be >= {MIN_EXACT_ORDER}, got {self.exact_order}")
 
     def tol(self, default: float) -> float:
         return default if self.abs_tol is None else self.abs_tol
@@ -126,6 +133,7 @@ def _genfun_block(
     quadrature = None
     if forms.has_base_density and forms.support == (0.0, float("inf")):
         quadrature = []
+        unevaluated = {"value": None, "error_estimate": None, "abs_diff": None}
         for n in range(0, QUAD_ORDER + 1):
             for q in range(n, QUAD_ORDER + 1 - n):
                 res = quadrature_crosscheck(forms, seq, n, q)
@@ -141,6 +149,7 @@ def _genfun_block(
                         "exact": str(exact),
                         "abs_diff": diff,
                         "pass": entry_ok,
+                        **({} if res.reason is None else {**unevaluated, "reason": res.reason}),
                     }
                 )
                 ok = ok and entry_ok
@@ -178,7 +187,7 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
     """Run the selected check suites on one family; returns (block, passed)."""
     m0 = rat(opts.m0) if opts.m0 is not None else rat(_default_anchor(family))
     spec = family.variance_at(m0)
-    order = max(opts.exact_order, 4)
+    order = opts.exact_order
     run_genfun = "genfun" in opts.checks and family.closed_forms is not None
     # One build per route: the exact checks read the leading order-`order`
     # block, the genfun probes the whole of it.

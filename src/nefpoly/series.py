@@ -4,9 +4,8 @@ A series of order N is a plain list ``[c0, c1, ..., cN]`` of Fractions,
 interpreted as ``c0 + c1 u + ... + cN u**N + O(u**(N+1))``.  All coefficient
 arithmetic is exact; truncation order is the only approximation anywhere.
 
-These helpers back the power-series layer of the mean parameterization
-(reciprocal of the variance polynomial, term-wise antiderivatives, and the
-composition/reversion pair used to cross-check cumulants by a second route).
+These helpers back the power-series layer of the mean parameterization:
+the reciprocal of the variance polynomial and term-wise antiderivatives.
 """
 
 from __future__ import annotations
@@ -60,35 +59,3 @@ def integrate(c: Sequence[Fraction], order: int) -> Series:
         out[k + 1] = ck / (k + 1)
     return out
 
-
-def compose(outer: Sequence[Fraction], inner: Sequence[Fraction], order: int) -> Series:
-    """outer(inner(u)) to the given order.  Requires inner[0] == 0."""
-    if inner and inner[0] != 0:
-        raise ValueError("composition needs inner series with zero constant term")
-    inner = pad(inner, order)
-    # Horner over the outer coefficients, truncating every product.
-    out = [Fraction(0)] * (order + 1)
-    for ck in reversed(pad(outer, order)):
-        out = multiply(out, inner, order)
-        out[0] += ck
-    return out
-
-
-def revert(c: Sequence[Fraction], order: int) -> Series:
-    """Compositional inverse g with c(g(u)) = u + O(u**(order+1)).
-
-    Requires c[0] == 0 and c[1] != 0.  Solved coefficient by coefficient:
-    the order-n coefficient of c(g) is linear in g[n] with slope c[1].
-    """
-    c = pad(c, order)
-    if c[0] != 0:
-        raise ValueError("reversion needs zero constant term")
-    if c[1] == 0:
-        raise ValueError("reversion needs nonzero linear term")
-    g = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        g[1] = 1 / c[1]
-    for n in range(2, order + 1):
-        err = compose(c, g, n)[n]
-        g[n] = -err / c[1]
-    return g

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import Family, cubic_families, lookup
+from .families import Family
 from .nef_model import moment_table
 from .ortho import inner_product
 from .polyseq import recurrence_sequence
@@ -140,23 +140,6 @@ class TableComparison:
             return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "p1_matches": self.p1_matches,
-            "recurrence_matches": self.recurrence_matches,
-            "variance_text_matches": self.variance_text_matches,
-            "p2_matches": self.p2_matches,
-            "p2_printed": self.p2_printed.to_strings(),
-            "p2_generated": self.p2_generated.to_strings(),
-            "p2_defect_inner_product": (
-                None
-                if self.p2_defect_inner_product is None
-                else str(self.p2_defect_inner_product)
-            ),
-            "notes": list(self.notes),
-        }
-
 
 def compare_with_printed(family: Family) -> TableComparison:
     """Check one cubic catalog family against its printed row (at m0 = 1)."""
@@ -182,12 +165,3 @@ def compare_with_printed(family: Family) -> TableComparison:
         notes=row.notes,
     )
 
-
-def all_comparisons() -> list[TableComparison]:
-    """Printed-table comparison for every cubic family, in catalog order."""
-    return [compare_with_printed(f) for f in cubic_families()]
-
-
-def printed_p2(family_name: str) -> Poly:
-    """The P_2 polynomial exactly as printed (used by typo injection)."""
-    return PRINTED_ROWS[lookup(family_name).name].p2

@@ -26,8 +26,9 @@ from nefpoly import (
     scale_sequence,
     sheffer_check,
 )
-from nefpoly.families import CATALOG, cubic_families, negative_binomial
-from nefpoly.table1 import all_comparisons
+from nefpoly.families import CATALOG, negative_binomial
+
+from oracles import all_comparisons
 
 CUBIC = ("ig", "strict-arcsine", "takacs", "large-arcsine", "ressel", "abel")
 

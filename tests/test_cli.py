@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nefpoly.cli import main
+from nefpoly.report import VerifyOptions
 
 
 def run(capsys, *args):
@@ -88,6 +89,29 @@ class TestTable:
     def test_bad_rational_is_usage_error(self, capsys):
         assert main(["table", "ig", "--m0", "1.5.2"]) == 2
 
+    def test_negative_rational_after_separate_flag(self, capsys):
+        code, out = run(capsys, "table", "normal", "--m0", "-3/7", "--n", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "P_1(x) = x + 3/7"
+
+
+@pytest.mark.parametrize(
+    "argv, minimum",
+    (
+        (["verify", "poisson", "--checks", "two-ortho"], 4),
+        (["table", "ig"], 0),
+        (["gram", "ig"], 0),
+    ),
+)
+def test_order_below_minimum_is_usage_error(capsys, argv, minimum):
+    assert main(argv + ["--n", str(minimum - 1)]) == 2
+    assert f"argument --n: must be an integer >= {minimum}" in capsys.readouterr().err
+
+
+def test_verify_options_reject_low_exact_order():
+    with pytest.raises(ValueError):
+        VerifyOptions(exact_order=3)
+
 
 class TestGram:
     def test_json_entries_are_exact_strings(self, capsys):
@@ -154,6 +178,32 @@ class TestVerify:
         assert code == 0
         block = json.loads(out)["body"]["families"][0]
         assert block["checks"]["bruno"]["order"] == block["checked_order"] == 16
+
+    def test_negative_rational_after_separate_flag(self, capsys):
+        code, out = run(capsys, "verify", "normal", "--m0", "-3/7", "--checks", "two-ortho")
+        assert code == 0
+        assert json.loads(out)["body"]["families"][0]["m0"] == "-3/7"
+
+    @pytest.mark.parametrize(
+        "family, m0, reason",
+        (
+            ("ig", "1/100", "OverflowError"),  # exp overflows in the density
+            ("ig", "1/10", "ValueError"),  # theta + theta' leaves k's domain
+            ("poisson", "1/50", "MeanDomainError"),  # probe mean m0 - 0.05 < 0
+        ),
+    )
+    def test_probe_errors_are_reported_not_raised(self, capsys, family, m0, reason):
+        code, out = run(capsys, "verify", family, f"--m0={m0}", "--checks", "genfun")
+        assert code in (0, 1)
+        genfun = json.loads(out)["body"]["families"][0]["checks"]["genfun"]
+        failed = [
+            p
+            for kind in ("partial_sum", "sheffer", "bilinear")
+            for p in genfun[kind]
+            if "reason" in p
+        ]
+        assert failed and any(p["reason"].startswith(reason + ":") for p in failed)
+        assert all(p["converged"] is False and p["residual"] is None for p in failed)
 
     def test_rel_tol_flag_removed(self, capsys):
         assert main(["verify", "ig", "--rel-tol", "1e-3"]) == 2

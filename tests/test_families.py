@@ -7,13 +7,18 @@ from nefpoly import MeanDomainError, UnsupportedFamilyError, lookup
 from nefpoly.families import (
     CATALOG,
     binomial,
-    cubic_families,
     inverse_gaussian,
     negative_binomial,
-    quadratic_families,
 )
 
+from oracles import cubic_families, quadratic_families
+
 CLOSED_FORM_FAMILIES = ("ig", "normal", "poisson", "gamma")
+
+
+def cumulant_slope(forms, theta, h=1e-6):
+    """k'(theta) of the anchored cumulant function, by a central difference."""
+    return (forms.cumulant(theta + h) - forms.cumulant(theta - h)) / (2 * h)
 
 
 class TestCatalog:
@@ -83,7 +88,7 @@ class TestRebase:
             forms = family.rebase(m0)
             assert abs(forms.psi(forms.m0)) < 1e-10
             assert abs(forms.cumulant(0.0)) < 1e-10
-            assert abs(forms.cumulant_prime(0.0) - forms.m0) < 1e-10
+            assert abs(cumulant_slope(forms, 0.0) - forms.m0) < 1e-6
 
     def test_mean_map_inverts_parameter_map(self):
         for name in CLOSED_FORM_FAMILIES:
@@ -95,7 +100,7 @@ class TestRebase:
                 lo, hi = forms.mean_domain
                 if not (lo < m < hi):
                     continue
-                assert abs(forms.cumulant_prime(forms.psi(m)) - m) < 1e-10
+                assert abs(cumulant_slope(forms, forms.psi(m)) - m) < 1e-6
 
     def test_ig_rebased_frozen_values(self):
         forms = lookup("ig").rebase(1)

@@ -145,6 +145,16 @@ class TestQuadrature:
             res = quadrature_crosscheck(forms, seq, n, n)
             assert abs(res.value - math.factorial(n) ** 2) <= 1e-6
 
+    def test_unevaluable_base_density_gives_a_reason(self):
+        # psi(m0) rounds to theta = 1 in floats, where k = -log(1 - theta)
+        # has its pole, so the base density cannot be evaluated
+        family = lookup("gamma")
+        m0 = 10**17
+        seq = recurrence_sequence(family.variance_at(m0), 1)
+        res = quadrature_crosscheck(family.rebase(m0), seq, 0, 0)
+        assert not res.converged
+        assert res.reason == "ValueError: math domain error"
+
     def test_lattice_family_rejected(self):
         family = lookup("poisson")
         forms = family.rebase(1)

@@ -7,6 +7,7 @@ from nefpoly import Poly, X, rat
 from nefpoly.ratpoly import NEG_INF
 
 from conftest import polys, rationals
+from oracles import eval_rational, monomial
 
 
 def convolve(a, b):
@@ -77,16 +78,13 @@ class TestScale:
 
 class TestEval:
     def test_rational_point(self):
-        assert (X**2 - 5 * X + 3).eval_rational(1) == -1
+        assert eval_rational(X**2 - 5 * X + 3, 1) == -1
 
     def test_root(self):
-        assert (X - 1).eval_rational(1) == 0
+        assert eval_rational(X - 1, 1) == 0
 
     def test_float_point(self):
         assert (X**2 - 5 * X + 3).eval_float(0.5) == 0.75
-
-    def test_call_is_exact_eval(self):
-        assert (X**2)(Fraction(1, 3)) == Fraction(1, 9)
 
 
 class TestStructure:
@@ -98,11 +96,11 @@ class TestStructure:
         assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
 
     def test_monomial(self):
-        assert Poly.monomial(3, Fraction(1, 2)) == X**3 * Fraction(1, 2)
+        assert monomial(3, Fraction(1, 2)) == X**3 * Fraction(1, 2)
 
     def test_string_round_trip(self):
         p = (X**2 - 5 * X + 3).scale(Fraction(1, 36))
-        assert Poly.from_strings(p.to_strings()) == p
+        assert Poly(p.to_strings()) == p
 
     def test_str_rendering(self):
         assert str(X**2 - 5 * X + 3) == "x^2 - 5x + 3"
@@ -124,8 +122,8 @@ def test_ring_axioms(p, q, r):
 
 @given(p=polys, q=polys, x=rationals)
 def test_eval_is_ring_homomorphism(p, q, x):
-    assert (p * q).eval_rational(x) == p.eval_rational(x) * q.eval_rational(x)
-    assert (p + q).eval_rational(x) == p.eval_rational(x) + q.eval_rational(x)
+    assert eval_rational(p * q, x) == eval_rational(p, x) * eval_rational(q, x)
+    assert eval_rational(p + q, x) == eval_rational(p, x) + eval_rational(q, x)
 
 
 @given(p=polys)
@@ -136,7 +134,7 @@ def test_normalization_idempotent(p):
 
 @given(p=polys, c=rationals, u=rationals)
 def test_taylor_shift_matches_evaluation(p, c, u):
-    assert p.taylor_at(c).eval_rational(u) == p.eval_rational(c + u)
+    assert eval_rational(p.taylor_at(c), u) == eval_rational(p, c + u)
 
 
 @given(p=polys, q=polys)

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
-from nefpoly import X, lookup
-from nefpoly.table1 import all_comparisons, compare_with_printed, printed_p2
+from nefpoly import X
+
+from oracles import all_comparisons
 
 MISPRINTED = {"ig", "strict-arcsine", "abel"}
 CLEAN = {"takacs", "large-arcsine", "ressel"}
@@ -72,15 +73,3 @@ def test_all_rows_are_consistent_overall():
     for c in all_comparisons():
         assert c.consistent, c.family
 
-
-def test_comparison_serializes():
-    c = compare_with_printed(lookup("ig"))
-    payload = c.to_json()
-    assert payload["family"] == "ig"
-    assert payload["p2_defect_inner_product"] == "-1"
-    assert payload["p2_matches"] is False
-
-
-def test_printed_p2_lookup():
-    assert printed_p2("ig") == X**2 - 6 * X + 3
-    assert printed_p2("inverse_gaussian") == X**2 - 6 * X + 3
