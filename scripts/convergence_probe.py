@@ -35,6 +35,9 @@ def main() -> int:
     print(header)
     for m in args.means:
         probe = partial_sum_density(seq, forms, x=args.x, m=m)
+        if probe.reason is not None:
+            print(f"{m:8.3f}   not evaluated: {probe.reason}")
+            continue
         cells = "".join(f"{probe.residuals[n]:14.3e}" for n in args.orders)
         tag = "" if probe.converged else "   (not converged)"
         print(f"{m:8.3f}{cells}{tag}")

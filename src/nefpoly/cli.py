@@ -1,7 +1,7 @@
 """Command-line surface: catalog browsing, tables, Gram matrices, verification.
 
 Exit codes: 0 = success / all checks passed, 1 = a verification check
-failed, 2 = usage or domain error.
+failed, 2 = usage or domain error, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NefError as exc:
+    except (NefError, OSError) as exc:  # OSError: --out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

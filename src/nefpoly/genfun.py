@@ -1,23 +1,28 @@
 """Floating-point verification of the generating-function layer.
 
 The exact layer certifies algebraic identities; this module ties them to the
-analytic ones, for the families that carry closed forms:
+analytic ones, for the families that carry closed forms.  Three probes
+compare a truncated series built from exact objects with a closed form:
 
 * partial sums of sum_n (m - m0)^n / n! * P_n(x) against the closed-form
   density f(x, m) of the tilted member; convergence holds in a window
   around m0 whose radius is finite and family-dependent, so probes report
   non-convergence instead of erroring outside it;
-* the bilinear identity: exp{k(psi(m) + psi(m')) - k(psi(m)) - k(psi(m'))}
-  against the truncated double series 1 + sum a_nq (m - m0)^n (m' - m0)^q
-  built from exact normalized Gram entries;
 * the exponential (Sheffer-type) generating function of the scaled sequence
   Q_n = t^n P_n: sum_n Q_n(x) z^n / n! against exp{a(z) x + b(z)} with
   a(z) = psi(t z + m0) and b(z) = -k(a(z));
-* adaptive quadrature of P_n P_q against the base density, cross-checking
-  exact Gram entries end to end.
+* the bilinear identity: exp{k(psi(m) + psi(m')) - k(psi(m)) - k(psi(m'))}
+  against the truncated double series 1 + sum a_nq (m - m0)^n (m' - m0)^q
+  built from exact normalized Gram entries.
 
-The Sheffer probe reuses the partial-sum engine verbatim with weight
-w = t*z (the two agree bitwise when handed identical float weights).
+Each returns a `Probe`.  Both sides of a probe are evaluated under one
+guard, so a series or closed form that overflows or leaves its domain makes
+a non-converged probe with a ``reason`` instead of an exception.  The
+Sheffer probe reuses the partial-sum engine verbatim with weight w = t*z
+(the two agree bitwise when handed identical float weights).
+
+Adaptive quadrature of P_n P_q against the base density cross-checks exact
+Gram entries end to end.
 """
 
 from __future__ import annotations
@@ -25,33 +30,27 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from scipy import integrate as _integrate
 
 from .families import RebasedForms
 from .ortho import GramMatrix
 from .polyseq import PolySequence
-from .ratpoly import Poly, RationalLike, rat
+from .ratpoly import RationalLike, rat
 
 T = TypeVar("T")
 
-
-def weighted_partial_sums(polys: Sequence[Poly], x: float, w: float) -> list[float]:
-    """Partial sums S_N = sum_{n<=N} w^n / n! * P_n(x), for N = 0..len-1."""
-    sums = []
-    acc = 0.0
-    wn_over_fact = 1.0  # w^n / n!
-    for n, p in enumerate(polys):
-        if n > 0:
-            wn_over_fact *= w / n
-        acc += wn_over_fact * p.eval_float(x)
-        sums.append(acc)
-    return sums
+# Default absolute tolerances of the float checks; `verify --abs-tol`
+# overrides all three.  A quadrature entry passes when it is within
+# QUAD_ABS_TOL of the exact Gram entry.
+SERIES_ABS_TOL = 1e-8
+BILINEAR_ABS_TOL = 1e-6
+QUAD_ABS_TOL = 1e-6
 
 
-def _closed_form(evaluate: Callable[[], T], failed: T = math.nan) -> tuple[T, str | None]:
-    """(value, None), or (failed, reason) when a closed form cannot be evaluated."""
+def _closed_form(evaluate: Callable[[], T], failed: T) -> tuple[T, str | None]:
+    """(value, None), or (failed, reason) when evaluate overflows or leaves a domain."""
     try:
         return evaluate(), None
     except (OverflowError, ValueError) as exc:  # MeanDomainError is a ValueError
@@ -59,24 +58,22 @@ def _closed_form(evaluate: Callable[[], T], failed: T = math.nan) -> tuple[T, st
 
 
 @dataclass(frozen=True)
-class ConvergenceProbe:
-    """Partial sums of the density series at one (x, m), with their target.
+class Probe:
+    """Series partial sums at one point, against their closed-form target.
 
-    A Sheffer probe is the same sum with weight w = t*z, so m = m0 + t*z;
-    it carries t and z and reports them in place of m.  ``reason`` says why
-    the target could not be evaluated, if it could not.
+    ``point`` holds the report keys that locate the probe: m and x for the
+    density series, t, z and x for the Sheffer series, m and m_prime for the
+    bilinear identity (which keeps only its last partial sum).  ``reason``
+    says why either side could not be evaluated, if it could not.
     """
 
     family: str
     m0: float
-    x: float
-    m: float
+    point: dict[str, float]
     order: int
     partial_sums: tuple[float, ...]
     target: float
-    abs_tol: float = 1e-8
-    t: float | None = None
-    z: float | None = None
+    abs_tol: float
     reason: str | None = None
 
     @property
@@ -92,17 +89,66 @@ class ConvergenceProbe:
         return self.reason is None and self.residual <= self.abs_tol
 
     def to_json(self) -> dict:
-        where = {"m": self.m} if self.t is None else {"t": self.t, "z": self.z}
         return {
             "family": self.family,
             "m0": self.m0,
-            **where,
-            "x": self.x,
+            **self.point,
             "N": self.order,
-            "residual": self.residual,
+            "residual": self.residual if self.reason is None else None,
             "converged": self.converged,
-            **({} if self.reason is None else {"residual": None, "reason": self.reason}),
+            **({} if self.reason is None else {"reason": self.reason}),
         }
+
+
+def _probe(
+    forms: RebasedForms,
+    point: dict[str, float],
+    order: int,
+    abs_tol: float,
+    sides: Callable[[], tuple[tuple[float, ...], float]],
+) -> Probe:
+    """Evaluate (partial sums, target) under the one guard of every probe."""
+    (sums, target), reason = _closed_form(sides, failed=((math.nan,), math.nan))
+    return Probe(
+        family=forms.family,
+        m0=forms.m0,
+        point=point,
+        order=order,
+        partial_sums=sums,
+        target=target,
+        abs_tol=abs_tol,
+        reason=reason,
+    )
+
+
+def _series_probe(
+    seq: PolySequence,
+    forms: RebasedForms,
+    point: dict[str, float],
+    x: float,
+    m: float,
+    w: float,
+    order: int | None,
+    abs_tol: float,
+) -> Probe:
+    """Partial sums S_N = sum_{n<=N} w^n / n! * P_n(x) against the density at (x, m)."""
+    if order is None:
+        order = seq.order
+    if order > seq.order:
+        raise ValueError(f"sequence only reaches order {seq.order}")
+
+    def sides() -> tuple[tuple[float, ...], float]:
+        sums = []
+        acc = 0.0
+        wn_over_fact = 1.0  # w^n / n!
+        for n, p in enumerate(seq.polys[: order + 1]):
+            if n > 0:
+                wn_over_fact *= w / n
+            acc += wn_over_fact * p.eval_float(x)
+            sums.append(acc)
+        return tuple(sums), forms.density(x, m)
+
+    return _probe(forms, point, order, abs_tol, sides)
 
 
 def partial_sum_density(
@@ -111,27 +157,10 @@ def partial_sum_density(
     x: float,
     m: float,
     order: int | None = None,
-    abs_tol: float = 1e-8,
-) -> ConvergenceProbe:
+    abs_tol: float = SERIES_ABS_TOL,
+) -> Probe:
     """Probe the density series at (x, m) against the closed-form density."""
-    if order is None:
-        order = seq.order
-    if order > seq.order:
-        raise ValueError(f"sequence only reaches order {seq.order}")
-    w = m - forms.m0
-    sums = weighted_partial_sums(seq.polys[: order + 1], x, w)
-    target, reason = _closed_form(lambda: forms.density(x, m))
-    return ConvergenceProbe(
-        family=forms.family,
-        m0=forms.m0,
-        x=x,
-        m=m,
-        order=order,
-        partial_sums=tuple(sums),
-        target=target,
-        abs_tol=abs_tol,
-        reason=reason,
-    )
+    return _series_probe(seq, forms, {"m": m, "x": x}, x, m, m - forms.m0, order, abs_tol)
 
 
 def sheffer_check(
@@ -141,8 +170,8 @@ def sheffer_check(
     z: float,
     x: float,
     order: int | None = None,
-    abs_tol: float = 1e-8,
-) -> ConvergenceProbe:
+    abs_tol: float = SERIES_ABS_TOL,
+) -> Probe:
     """Compare sum_n t^n P_n(x) z^n / n! with exp{a(z) x + b(z)}.
 
     a(z) = psi(t z + m0) and b(z) = -k(a(z)), so the target is exactly the
@@ -152,61 +181,10 @@ def sheffer_check(
     t = rat(t)
     if t == 0:
         raise ValueError("Sheffer scaling t must be nonzero")
-    if order is None:
-        order = seq.order
-    if order > seq.order:
-        raise ValueError(f"sequence only reaches order {seq.order}")
     tf = float(t)
     w = tf * z
-    sums = weighted_partial_sums(seq.polys[: order + 1], x, w)
     m = forms.m0 + w
-    target, reason = _closed_form(lambda: forms.density(x, m))
-    return ConvergenceProbe(
-        family=forms.family,
-        m0=forms.m0,
-        x=x,
-        m=m,
-        order=order,
-        partial_sums=tuple(sums),
-        target=target,
-        abs_tol=abs_tol,
-        t=tf,
-        z=z,
-        reason=reason,
-    )
-
-
-@dataclass(frozen=True)
-class BilinearProbe:
-    family: str
-    m0: float
-    m: float
-    m_prime: float
-    order: int
-    lhs: float
-    rhs: float
-    abs_tol: float = 1e-6
-    reason: str | None = None  # why lhs could not be evaluated, if it could not
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def converged(self) -> bool:
-        return self.reason is None and self.residual <= self.abs_tol
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "m0": self.m0,
-            "m": self.m,
-            "m_prime": self.m_prime,
-            "N": self.order,
-            "residual": self.residual,
-            "converged": self.converged,
-            **({} if self.reason is None else {"residual": None, "reason": self.reason}),
-        }
+    return _series_probe(seq, forms, {"t": tf, "z": z, "x": x}, x, m, w, order, abs_tol)
 
 
 def bilinear_identity(
@@ -215,11 +193,11 @@ def bilinear_identity(
     m: float,
     m_prime: float,
     order: int | None = None,
-    abs_tol: float = 1e-6,
-) -> BilinearProbe:
+    abs_tol: float = BILINEAR_ABS_TOL,
+) -> Probe:
     """exp{k(psi(m) + psi(m')) - k(psi(m)) - k(psi(m'))} vs. the Gram series.
 
-    The right side is 1 + sum_{n,q>=1} a_nq (m-m0)^n (m'-m0)^q truncated at
+    The series side is 1 + sum_{n,q>=1} a_nq (m-m0)^n (m'-m0)^q truncated at
     the given order, with the exact normalized entries a_nq cast to float.
     """
     if order is None:
@@ -227,33 +205,23 @@ def bilinear_identity(
     if order > g.order:
         raise ValueError(f"Gram matrix only reaches order {g.order}")
 
-    def lhs_of() -> float:
+    def sides() -> tuple[tuple[float, ...], float]:
         th, tp = forms.psi(m), forms.psi(m_prime)
-        return math.exp(forms.cumulant(th + tp) - forms.cumulant(th) - forms.cumulant(tp))
+        target = math.exp(forms.cumulant(th + tp) - forms.cumulant(th) - forms.cumulant(tp))
+        u, v = m - forms.m0, m_prime - forms.m0
+        upow = 1.0
+        total = 1.0
+        for n in range(1, order + 1):
+            upow *= u
+            vpow = 1.0
+            for q in range(1, order + 1):
+                vpow *= v
+                anq = g.normalized(n, q)
+                if anq != 0:
+                    total += float(anq) * upow * vpow
+        return (total,), target
 
-    lhs, reason = _closed_form(lhs_of)
-    u, v = m - forms.m0, m_prime - forms.m0
-    upow = 1.0
-    rhs = 1.0
-    for n in range(1, order + 1):
-        upow *= u
-        vpow = 1.0
-        for q in range(1, order + 1):
-            vpow *= v
-            anq = g.normalized(n, q)
-            if anq != 0:
-                rhs += float(anq) * upow * vpow
-    return BilinearProbe(
-        family=forms.family,
-        m0=forms.m0,
-        m=m,
-        m_prime=m_prime,
-        order=order,
-        lhs=lhs,
-        rhs=rhs,
-        abs_tol=abs_tol,
-        reason=reason,
-    )
+    return _probe(forms, {"m": m, "m_prime": m_prime}, order, abs_tol, sides)
 
 
 @dataclass(frozen=True)

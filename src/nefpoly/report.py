@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from . import __version__
 from .families import Family
 from .genfun import (
+    BILINEAR_ABS_TOL,
+    QUAD_ABS_TOL,
+    SERIES_ABS_TOL,
     bilinear_identity,
     partial_sum_density,
     quadrature_crosscheck,
@@ -46,15 +49,12 @@ INJECTABLE_TYPOS = ("table1-p2",)
 MIN_EXACT_ORDER = 4
 
 
-# Pinned scopes and default absolute tolerances of the float checks.  The
-# series probes sum P_0..P_30, the bilinear probe reads the order-20 Gram
-# and quadrature covers n + q <= 8; none of them follows --n.
+# Pinned scopes of the float checks (their tolerances live in `genfun`).
+# The series probes sum P_0..P_30, the bilinear probe reads the order-20
+# Gram and quadrature covers n + q <= 8; none of them follows --n.
 SERIES_ORDER = 30
 BILINEAR_ORDER = 20
 QUAD_ORDER = 8
-SERIES_ABS_TOL = 1e-8
-BILINEAR_ABS_TOL = 1e-6
-QUAD_ABS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class VerifyOptions:
     """Tunable knobs of a verification run; defaults are the accepted ones."""
 
     exact_order: int = 12
-    abs_tol: float | None = None  # None: the per-check defaults above
+    abs_tol: float | None = None  # None: the per-check defaults in genfun
     checks: tuple[str, ...] = ALL_CHECKS
     inject_typo: str | None = None
     m0: RationalLike | None = None
@@ -97,38 +97,33 @@ def _genfun_block(
 ) -> tuple[dict, bool]:
     """Float probes on the shared sequence (order >= 30) and Gram (order >= 20)."""
     forms = family.rebase(seq.m0)
-    ok = True
-
     xs, dms = _probe_points(family)
-    partial = []
-    for dm in dms:
-        for x in xs:
-            probe = partial_sum_density(
-                seq, forms, x=x, m=forms.m0 + dm,
-                order=SERIES_ORDER, abs_tol=opts.tol(SERIES_ABS_TOL),
+    series_tol, bilinear_tol = opts.tol(SERIES_ABS_TOL), opts.tol(BILINEAR_ABS_TOL)
+    probes = {
+        "partial_sum": [
+            partial_sum_density(
+                seq, forms, x=x, m=forms.m0 + dm, order=SERIES_ORDER, abs_tol=series_tol
             )
-            partial.append(probe.to_json())
-            ok = ok and probe.converged
-
-    sheffer = []
-    for z in (0.05, 0.1):
-        for x in xs:
-            probe = sheffer_check(
-                seq, forms, t=rat("1/2"), z=z, x=x,
-                order=SERIES_ORDER, abs_tol=opts.tol(SERIES_ABS_TOL),
+            for dm in dms
+            for x in xs
+        ],
+        "sheffer": [
+            sheffer_check(
+                seq, forms, t=rat("1/2"), z=z, x=x, order=SERIES_ORDER, abs_tol=series_tol
             )
-            sheffer.append(probe.to_json())
-            ok = ok and probe.converged
-
-    bilinear = []
-    for dm in (-0.05, 0.0, 0.05):
-        for dmp in (-0.05, 0.0, 0.05):
-            probe = bilinear_identity(
+            for z in (0.05, 0.1)
+            for x in xs
+        ],
+        "bilinear": [
+            bilinear_identity(
                 forms, g, m=forms.m0 + dm, m_prime=forms.m0 + dmp,
-                order=BILINEAR_ORDER, abs_tol=opts.tol(BILINEAR_ABS_TOL),
+                order=BILINEAR_ORDER, abs_tol=bilinear_tol,
             )
-            bilinear.append(probe.to_json())
-            ok = ok and probe.converged
+            for dm in (-0.05, 0.0, 0.05)
+            for dmp in (-0.05, 0.0, 0.05)
+        ],
+    }
+    ok = all(p.converged for found in probes.values() for p in found)
 
     quadrature = None
     if forms.has_base_density and forms.support == (0.0, float("inf")):
@@ -155,9 +150,7 @@ def _genfun_block(
                 ok = ok and entry_ok
 
     block = {
-        "partial_sum": partial,
-        "sheffer": sheffer,
-        "bilinear": bilinear,
+        **{kind: [p.to_json() for p in found] for kind, found in probes.items()},
         "quadrature": quadrature,
         "pass": ok,
     }

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nefpoly.cli import main
 from nefpoly.report import VerifyOptions
@@ -108,6 +112,21 @@ def test_order_below_minimum_is_usage_error(capsys, argv, minimum):
     assert f"argument --n: must be an integer >= {minimum}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["families"],
+        ["table", "ig"],
+        ["gram", "ig"],
+        ["verify", "poisson", "--checks", "two-ortho"],
+    ),
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_verify_options_reject_low_exact_order():
     with pytest.raises(ValueError):
         VerifyOptions(exact_order=3)
@@ -190,6 +209,8 @@ class TestVerify:
             ("ig", "1/100", "OverflowError"),  # exp overflows in the density
             ("ig", "1/10", "ValueError"),  # theta + theta' leaves k's domain
             ("poisson", "1/50", "MeanDomainError"),  # probe mean m0 - 0.05 < 0
+            ("ig", "1/10000", "OverflowError"),  # a coefficient of P_30 exceeds float range
+            ("normal", "-12416752934984733167", "OverflowError"),  # P_30 overflows here too
         ),
     )
     def test_probe_errors_are_reported_not_raised(self, capsys, family, m0, reason):
@@ -262,3 +283,20 @@ def test_anchor_override_applies_to_verify(capsys):
     block = payload["body"]["families"][0]
     assert block["m0"] == "3/2"
     assert block["checks"]["recover"]["fitted"]["m0"] == "3/2"
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(("ig", "gamma", "poisson", "normal")),
+    p=st.integers(1, 10**12),
+    q=st.integers(1, 10**12),
+    negative=st.booleans(),
+)
+def test_genfun_never_raises_on_in_domain_anchors(family, p, q, negative):
+    # normal's mean domain is the whole line; the others need m0 > 0
+    sign = "-" if negative and family == "normal" else ""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", family, f"--m0={sign}{p}/{q}", "--checks", "genfun"])
+    assert code in (0, 1)
+    assert len(json.loads(out.getvalue())["body"]["families"]) == 1

@@ -99,7 +99,7 @@ class TestSheffer:
 class TestBilinear:
     def test_anchor_point_is_exactly_one(self, ig):
         probe = bilinear_identity(ig["forms"], ig["gram20"], m=1.0, m_prime=1.0)
-        assert probe.lhs == 1.0 and probe.rhs == 1.0
+        assert probe.target == 1.0 and probe.partial_sums == (1.0,)
         assert probe.residual == 0.0
 
     def test_window_grid(self, ig):
