@@ -5,6 +5,7 @@ arcsine, Ressel, Abel: the Letac-Mora additions) and six quadratic baselines
 (normal, Poisson, binomial, negative binomial, gamma, hyperbolic cosine: the
 Morris class).  Each entry stores its variance function V(m) as an exact
 polynomial in the mean; anchoring at a rational m0 is an exact Taylor shift.
+The class is derived from V, not stored: deg V <= 2 is quadratic, else cubic.
 
 Cubic entries other than the inverse Gaussian are fixed at the conventional
 unit parameters; their variance polynomials are pinned down by the published
@@ -116,10 +117,14 @@ class Family:
 
     name: str
     params: Mapping[str, Fraction]
-    variance_class: str  # "quadratic" | "cubic"
     mean_domain: tuple[Bound, Bound]
     variance: Poly  # V(m), exact, in the mean variable
     closed_forms: ClosedForms | None = field(default=None, repr=False)
+
+    @property
+    def variance_class(self) -> str:
+        """"quadratic" (the Morris class, deg V <= 2) or "cubic" (Letac-Mora)."""
+        return "quadratic" if self.variance.degree <= 2 else "cubic"
 
     @property
     def variance_formula(self) -> str:
@@ -164,11 +169,18 @@ class Family:
             -math.inf if lo is None else float(lo),
             math.inf if hi is None else float(hi),
         )
-        m0f = float(m0)
+        try:
+            m0f = float(m0)
+            theta0 = self.closed_forms.psi(m0f)
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            raise MeanDomainError(
+                f"m0 = {m0} of family '{self.name}' is out of float range for its "
+                f"closed forms ({type(exc).__name__}: {exc})"
+            ) from None
         return RebasedForms(
             family=self.name,
             m0=m0f,
-            theta0=self.closed_forms.psi(m0f),
+            theta0=theta0,
             mean_domain=domain,
             _forms=self.closed_forms,
         )
@@ -199,7 +211,6 @@ def inverse_gaussian(p: RationalLike = 1) -> Family:
     return Family(
         name="ig",
         params={"p": p},
-        variance_class="cubic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 0, 0, 1 / p**2)),
         closed_forms=forms,
@@ -211,7 +222,6 @@ def strict_arcsine() -> Family:
     return Family(
         name="strict-arcsine",
         params={"p": Fraction(1)},
-        variance_class="cubic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 1, 0, 1)),
     )
@@ -222,7 +232,6 @@ def takacs() -> Family:
     return Family(
         name="takacs",
         params={"p": Fraction(1), "a": Fraction(1)},
-        variance_class="cubic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 1, 3, 2)),
     )
@@ -237,7 +246,6 @@ def large_arcsine() -> Family:
     return Family(
         name="large-arcsine",
         params={"p": Fraction(1), "a": Fraction(1)},
-        variance_class="cubic",
         mean_domain=(Fraction(0), None),
         variance=Poly((4, 1, 2, 2)),
     )
@@ -248,7 +256,6 @@ def ressel() -> Family:
     return Family(
         name="ressel",
         params={"p": Fraction(1)},
-        variance_class="cubic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 0, 1, 1)),
     )
@@ -259,7 +266,6 @@ def abel() -> Family:
     return Family(
         name="abel",
         params={"p": Fraction(1)},
-        variance_class="cubic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 1, 2, 1)),
     )
@@ -281,7 +287,6 @@ def normal() -> Family:
     return Family(
         name="normal",
         params={},
-        variance_class="quadratic",
         mean_domain=(None, None),
         variance=Poly((1,)),
         closed_forms=forms,
@@ -299,7 +304,6 @@ def poisson() -> Family:
     return Family(
         name="poisson",
         params={},
-        variance_class="quadratic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 1)),
         closed_forms=forms,
@@ -314,7 +318,6 @@ def binomial(trials: RationalLike = 10) -> Family:
     return Family(
         name="binomial",
         params={"r": r},
-        variance_class="quadratic",
         mean_domain=(Fraction(0), r),
         variance=Poly((0, 1, -1 / r)),
     )
@@ -328,7 +331,6 @@ def negative_binomial(r: RationalLike = 2) -> Family:
     return Family(
         name="negative-binomial",
         params={"r": r},
-        variance_class="quadratic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 1, 1 / r)),
     )
@@ -349,7 +351,6 @@ def gamma(shape: RationalLike = 1) -> Family:
     return Family(
         name="gamma",
         params={"shape": lam},
-        variance_class="quadratic",
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 0, 1 / lam)),
         closed_forms=forms,
@@ -361,7 +362,6 @@ def hyperbolic_cosine() -> Family:
     return Family(
         name="hyperbolic-cosine",
         params={},
-        variance_class="quadratic",
         mean_domain=(None, None),
         variance=Poly((1, 0, 1)),
     )

@@ -49,7 +49,7 @@ BILINEAR_ABS_TOL = 1e-6
 QUAD_ABS_TOL = 1e-6
 
 
-def _closed_form(evaluate: Callable[[], T], failed: T) -> tuple[T, str | None]:
+def guarded(evaluate: Callable[[], T], failed: T) -> tuple[T, str | None]:
     """(value, None), or (failed, reason) when evaluate overflows or leaves a domain."""
     try:
         return evaluate(), None
@@ -108,7 +108,7 @@ def _probe(
     sides: Callable[[], tuple[tuple[float, ...], float]],
 ) -> Probe:
     """Evaluate (partial sums, target) under the one guard of every probe."""
-    (sums, target), reason = _closed_form(sides, failed=((math.nan,), math.nan))
+    (sums, target), reason = guarded(sides, failed=((math.nan,), math.nan))
     return Probe(
         family=forms.family,
         m0=forms.m0,
@@ -305,7 +305,7 @@ def quadrature_crosscheck(
             v2, e2 = _integrate_halfline(integrand, split)
         return v1 + v2, e1 + e2
 
-    (value, err), reason = _closed_form(integral, failed=(math.nan, math.inf))
+    (value, err), reason = guarded(integral, failed=(math.nan, math.inf))
     converged = err <= max(QUAD_ABS_TARGET, QUAD_REL_TARGET * abs(value))  # err = inf on failure
     return QuadratureResult(
         n=n, q=q, value=value, error_estimate=err, converged=converged, reason=reason

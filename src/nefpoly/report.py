@@ -2,30 +2,35 @@
 
 One block per family, each the outcome of up to five check suites
 (two-ortho, full-ortho, bruno, recover, genfun) plus the printed-table
-comparison for the cubic rows.  The report body is deterministic (byte
-identical across runs), with the timestamp isolated in a header that golden
-comparisons exclude.
+comparison for the cubic rows.  `verify_spec` runs the checks on one
+anchored variance spec and never sees a family; `verify_family` resolves a
+catalog family's anchor, closed forms and printed row around it.  The
+report body is deterministic (byte identical across runs), with the
+timestamp isolated in a header that golden comparisons exclude.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 
 from . import __version__
-from .families import Family
+from .families import Family, RebasedForms
 from .genfun import (
     BILINEAR_ABS_TOL,
     QUAD_ABS_TOL,
     SERIES_ABS_TOL,
     bilinear_identity,
+    guarded,
     partial_sum_density,
     quadrature_crosscheck,
     sheffer_check,
 )
-from .nef_model import moment_table
+from .nef_model import VarianceSpec, moment_table
 from .ortho import (
     GramMatrix,
+    RecoveredVariance,
     check_full_orthogonality,
     check_two_orthogonality,
     fit_recurrence,
@@ -38,7 +43,7 @@ from .polyseq import (
     faa_di_bruno_sequence,
     recurrence_sequence,
 )
-from .ratpoly import RationalLike, rat
+from .ratpoly import Poly, RationalLike, rat
 from .table1 import PRINTED_ROWS, compare_with_printed
 
 ALL_CHECKS = ("two-ortho", "full-ortho", "bruno", "recover", "genfun")
@@ -75,36 +80,21 @@ class VerifyOptions:
         return default if self.abs_tol is None else self.abs_tol
 
 
-def _default_anchor(family: Family) -> RationalLike:
-    lo, hi = family.mean_domain
-    return 0 if lo is None and hi is None else 1
-
-
-def _probe_points(family: Family) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(x values, mean offsets) for the series probes of one family."""
-    if family.mean_domain == (None, None):
-        xs = (-1.0, 0.0, 1.0)
-    else:
-        xs = (0.5, 1.0, 2.0)
-    return xs, (0.05, 0.1)
-
-
 def _genfun_block(
-    family: Family,
+    forms: RebasedForms,
     seq: PolySequence,
     g: GramMatrix,
     opts: VerifyOptions,
-) -> tuple[dict, bool]:
+) -> dict:
     """Float probes on the shared sequence (order >= 30) and Gram (order >= 20)."""
-    forms = family.rebase(seq.m0)
-    xs, dms = _probe_points(family)
+    xs = (-1.0, 0.0, 1.0) if forms.mean_domain == (-math.inf, math.inf) else (0.5, 1.0, 2.0)
     series_tol, bilinear_tol = opts.tol(SERIES_ABS_TOL), opts.tol(BILINEAR_ABS_TOL)
     probes = {
         "partial_sum": [
             partial_sum_density(
                 seq, forms, x=x, m=forms.m0 + dm, order=SERIES_ORDER, abs_tol=series_tol
             )
-            for dm in dms
+            for dm in (0.05, 0.1)
             for x in xs
         ],
         "sheffer": [
@@ -133,8 +123,10 @@ def _genfun_block(
             for q in range(n, QUAD_ORDER + 1 - n):
                 res = quadrature_crosscheck(forms, seq, n, q)
                 exact = g.entry(n, q)
-                diff = abs(res.value - float(exact))
-                entry_ok = res.converged and diff <= opts.tol(QUAD_ABS_TOL)
+                # An exact entry past float range cannot be compared at all.
+                diff, reason = guarded(lambda: abs(res.value - float(exact)), None)
+                reason = res.reason or reason
+                entry_ok = reason is None and res.converged and diff <= opts.tol(QUAD_ABS_TOL)
                 quadrature.append(
                     {
                         "n": n,
@@ -144,44 +136,36 @@ def _genfun_block(
                         "exact": str(exact),
                         "abs_diff": diff,
                         "pass": entry_ok,
-                        **({} if res.reason is None else {**unevaluated, "reason": res.reason}),
+                        **({} if reason is None else {**unevaluated, "reason": reason}),
                     }
                 )
                 ok = ok and entry_ok
 
-    block = {
+    return {
         **{kind: [p.to_json() for p in found] for kind, found in probes.items()},
         "quadrature": quadrature,
         "pass": ok,
     }
-    return block, ok
 
 
-def _ortho_report_json(rep) -> dict:
-    return {
-        "verdict": rep.verdict,
-        "checked_order": rep.checked_order,
-        "violations": [
-            {"n": v.n, "q": v.q, "value": str(v.value)} for v in rep.violations
-        ],
-        "recovered": (
-            None
-            if rep.recovered is None
-            else {
-                "a0": str(rep.recovered.a0),
-                "a2": str(rep.recovered.a2),
-                "a3": str(rep.recovered.a3),
-            }
-        ),
-    }
+def _recovered_json(rec: RecoveredVariance) -> dict:
+    return {"a0": str(rec.a0), "a2": str(rec.a2), "a3": str(rec.a3)}
 
 
-def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
-    """Run the selected check suites on one family; returns (block, passed)."""
-    m0 = rat(opts.m0) if opts.m0 is not None else rat(_default_anchor(family))
-    spec = family.variance_at(m0)
+def verify_spec(
+    spec: VarianceSpec,
+    opts: VerifyOptions,
+    forms: RebasedForms | None = None,
+    typo_p2: Poly | None = None,
+) -> dict[str, dict | None]:
+    """Run the selected checks on one anchored spec; returns the `checks` mapping.
+
+    genfun runs exactly when closed forms `forms`, anchored at spec.m0, are
+    given; `typo_p2` replaces P_2 in the sequence the orthogonality and
+    recover checks read.  A check that did not run maps to None.
+    """
     order = opts.exact_order
-    run_genfun = "genfun" in opts.checks and family.closed_forms is not None
+    run_genfun = forms is not None
     # One build per route: the exact checks read the leading order-`order`
     # block, the genfun probes the whole of it.
     seq_order = max(order, SERIES_ORDER) if run_genfun else order
@@ -189,89 +173,90 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
     seq_full = recurrence_sequence(spec, seq_order)
     moments = moment_table(spec, 2 * gram_order)
     g_full = gram(seq_full.prefix(gram_order), moments)
-    seq = seq_full.prefix(order)
+    seq = seq_ortho = seq_full.prefix(order)
     g_ortho = g_full.leading(order)
-
-    injected = False
-    seq_ortho = seq
-    if (
-        opts.inject_typo == "table1-p2"
-        and family.name in PRINTED_ROWS
-        and m0 == 1
-    ):
+    if typo_p2 is not None:
         polys = list(seq.polys)
-        polys[2] = PRINTED_ROWS[family.name].p2
+        polys[2] = typo_p2
         seq_ortho = PolySequence(
             spec=spec, polys=tuple(polys), provenance="recurrence+injected-typo"
         )
         g_ortho = gram(seq_ortho, moments)
-        injected = True
 
     checks: dict[str, dict | None] = {name: None for name in ALL_CHECKS}
-    passed = True
 
     if "two-ortho" in opts.checks:
         rep = check_two_orthogonality(g_ortho)
-        ok = rep.verdict == "two_orthogonal"
-        checks["two-ortho"] = {**_ortho_report_json(rep), "pass": ok}
-        passed = passed and ok
+        checks["two-ortho"] = {
+            "verdict": rep.verdict,
+            "checked_order": rep.checked_order,
+            "violations": [
+                {"n": v.n, "q": v.q, "value": str(v.value)} for v in rep.violations
+            ],
+            "recovered": None if rep.recovered is None else _recovered_json(rep.recovered),
+            "pass": rep.verdict == "two_orthogonal",
+        }
 
     if "full-ortho" in opts.checks:
         rep = check_full_orthogonality(g_ortho)
-        expect_diagonal = family.variance_class == "quadratic"
-        ok = (rep.verdict == "fully_orthogonal") == expect_diagonal
+        expect_diagonal = spec.a3 == 0  # deg V <= 2: the Morris class
         checks["full-ortho"] = {
             "verdict": rep.verdict,
             "checked_order": rep.checked_order,
             "violation_count": len(rep.violations),
             "expected_diagonal": expect_diagonal,
-            "pass": ok,
+            "pass": (rep.verdict == "fully_orthogonal") == expect_diagonal,
         }
-        passed = passed and ok
 
     if "bruno" in opts.checks:
         diff = compare_sequences(seq, faa_di_bruno_sequence(spec, order))
-        ok = diff.identical
         checks["bruno"] = {
             "order": order,
             "diff_count": len(diff.mismatches),
             "diff_indices": [n for n, _, _ in diff.mismatches],
-            "pass": ok,
+            "pass": diff.identical,
         }
-        passed = passed and ok
 
     if "recover" in opts.checks:
         fit = fit_recurrence(seq_ortho)
-        fit_ok = fit.exact and fit.a == spec.a and fit.m0 == spec.m0
         rec = recover_variance_from_gram(g_ortho)
-        rec_ok = (
-            rec.a0 == spec.a0 and rec.a2 == spec.a2 and rec.a3 == spec.a3
-        )
-        ok = fit_ok and rec_ok
         checks["recover"] = {
             "fitted": {
                 "m0": str(fit.m0),
                 "a": [str(c) for c in fit.a],
                 "residual_count": len(fit.residuals),
             },
-            "from_gram": {
-                "a0": str(rec.a0),
-                "a2": str(rec.a2),
-                "a3": str(rec.a3),
-            },
-            "pass": ok,
+            "from_gram": _recovered_json(rec),
+            "pass": (
+                fit.exact and fit.a == spec.a and fit.m0 == spec.m0
+                and (rec.a0, rec.a2, rec.a3) == (spec.a0, spec.a2, spec.a3)
+            ),
         }
-        passed = passed and ok
 
     if run_genfun:
-        block, ok = _genfun_block(family, seq_full, g_full, opts)
-        checks["genfun"] = block
-        passed = passed and ok
+        checks["genfun"] = _genfun_block(forms, seq_full, g_full, opts)
+
+    return checks
+
+
+def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
+    """Resolve a family's anchor, closed forms and printed row, then run
+    `verify_spec`; returns (block, passed)."""
+    default = 0 if family.mean_domain == (None, None) else 1
+    m0 = rat(default if opts.m0 is None else opts.m0)
+    spec = family.variance_at(m0)
+    forms = None
+    if "genfun" in opts.checks and family.closed_forms is not None:
+        forms = family.rebase(m0)
+    printed = PRINTED_ROWS.get(family.name) if m0 == 1 else None
+    typo_p2 = printed.p2 if printed is not None and opts.inject_typo == "table1-p2" else None
+    checks = verify_spec(spec, opts, forms, typo_p2)
 
     discrepancies: list[dict] = []
-    if family.name in PRINTED_ROWS and m0 == 1:
+    consistent = True
+    if printed is not None:
         cmp = compare_with_printed(family)
-        passed = passed and cmp.consistent
+        consistent = cmp.consistent
         if not cmp.p2_matches:
             discrepancies.append(
                 {
@@ -285,21 +270,22 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
             discrepancies.append(
                 {
                     "kind": "variance-text",
-                    "printed_at_unit": [str(c) for c in PRINTED_ROWS[family.name].variance_text],
+                    "printed_at_unit": [str(c) for c in printed.variance_text],
                     "recurrence_row": [str(c) for c in spec.a],
                 }
             )
         for note in cmp.notes:
             discrepancies.append({"kind": "note", "text": note})
 
+    passed = consistent and all(c["pass"] for c in checks.values() if c is not None)
     block = {
         "family": family.name,
         "params": {k: str(v) for k, v in family.params.items()},
         "m0": str(m0),
         "a": [str(c) for c in spec.a],
         "variance_class": family.variance_class,
-        "checked_order": order,
-        "injected_typo": opts.inject_typo if injected else None,
+        "checked_order": opts.exact_order,
+        "injected_typo": opts.inject_typo if typo_p2 is not None else None,
         "checks": checks,
         "table1_discrepancies": discrepancies,
         "pass": passed,

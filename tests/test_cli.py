@@ -10,6 +10,11 @@ from nefpoly.cli import main
 from nefpoly.report import VerifyOptions
 
 
+EXACT = "two-ortho,full-ortho,bruno,recover"
+TINY = "1/1" + "0" * 40  # 1/10^40
+HUGE = "1" + "0" * 400  # 10^400
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -211,6 +216,9 @@ class TestVerify:
             ("poisson", "1/50", "MeanDomainError"),  # probe mean m0 - 0.05 < 0
             ("ig", "1/10000", "OverflowError"),  # a coefficient of P_30 exceeds float range
             ("normal", "-12416752934984733167", "OverflowError"),  # P_30 overflows here too
+            # Gram entries past float range: the quadrature cannot compare them
+            pytest.param("gamma", TINY, "OverflowError", id="gamma-1/10^40"),
+            pytest.param("ig", TINY, "OverflowError", id="ig-1/10^40"),
         ),
     )
     def test_probe_errors_are_reported_not_raised(self, capsys, family, m0, reason):
@@ -225,6 +233,38 @@ class TestVerify:
         ]
         assert failed and any(p["reason"].startswith(reason + ":") for p in failed)
         assert all(p["converged"] is False and p["residual"] is None for p in failed)
+        unevaluated = [e for e in genfun["quadrature"] or () if "reason" in e]
+        assert all(
+            e["pass"] is False and e["value"] is e["error_estimate"] is e["abs_diff"] is None
+            for e in unevaluated
+        )
+        if m0 == TINY:
+            assert code == 1
+            assert any(e["reason"].startswith("OverflowError:") for e in unevaluated)
+
+    @pytest.mark.parametrize(
+        "family, m0",
+        (
+            ("gamma", "1/" + HUGE),  # rounds to 0.0: psi divides by zero
+            ("ig", "1/" + HUGE),
+            ("poisson", "1/" + HUGE),  # log(0.0) leaves the float domain
+            ("ig", HUGE),  # float(m0) overflows
+            ("gamma", HUGE),
+            ("poisson", HUGE),
+            ("normal", HUGE),
+            ("normal", "-" + HUGE),
+        ),
+        ids=lambda v: v.replace(HUGE, "10^400"),
+    )
+    def test_anchor_past_float_range_is_domain_error(self, capsys, family, m0):
+        code = main(["verify", family, f"--m0={m0}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: m0 = ") and m0 in line and f"'{family}'" in line
+        # Without genfun the float closed forms are never needed.
+        code, _ = run(capsys, "verify", family, f"--m0={m0}", "--n", "4", "--checks", EXACT)
+        assert code == 0
 
     def test_rel_tol_flag_removed(self, capsys):
         assert main(["verify", "ig", "--rel-tol", "1e-3"]) == 2
