@@ -1,21 +1,21 @@
 """Catalog of natural exponential families with polynomial variance functions.
 
-Six strictly cubic families (inverse Gaussian, strict arcsine, Takacs, large
-arcsine, Ressel, Abel: the Letac-Mora additions) and six quadratic baselines
-(normal, Poisson, binomial, negative binomial, gamma, hyperbolic cosine: the
-Morris class).  Each entry stores its variance function V(m) as an exact
-polynomial in the mean; anchoring at a rational m0 is an exact Taylor shift.
-The class is derived from V, not stored: deg V <= 2 is quadratic, else cubic.
+`CATALOG` is one table: six strictly cubic families (inverse Gaussian,
+strict arcsine, Takacs, large arcsine, Ressel, Abel: the Letac-Mora
+additions), then six quadratic ones (normal, Poisson, binomial, negative
+binomial, gamma, hyperbolic cosine: the Morris class).  Each row stores its
+variance function V(m) as an exact polynomial in the mean; anchoring at a
+rational m0 is an exact Taylor shift.  The class is derived from V, not
+stored: deg V <= 2 is quadratic, else cubic.  Four rows come from builders
+that take a parameter (inverse Gaussian p, binomial r, negative binomial r,
+gamma shape); the other cubic rows are fixed at the conventional unit
+parameters, their variance polynomials pinned down by the published
+recurrence rows (see :mod:`nefpoly.table1` for the transcription notes).
 
-Cubic entries other than the inverse Gaussian are fixed at the conventional
-unit parameters; their variance polynomials are pinned down by the published
-recurrence rows (see :mod:`nefpoly.table1` for the transcription notes).  The
-inverse Gaussian keeps a free rational parameter p, with float closed forms
-for the cumulant function k(theta) = -p*sqrt(-2*theta), the parameter map
-psi(m) = -p^2/(2 m^2), and the base density; these power the floating-point
-generating-function checks.  Normal, Poisson, and gamma carry closed forms
-as quadratic baselines; the remaining entries are verified purely at the
-exact layer.
+Inverse Gaussian, normal, Poisson and gamma carry float closed forms (psi,
+k and, on the half line, the base density) that power the floating-point
+generating-function checks; the other rows are verified purely at the exact
+layer.  `guarded` is the one float guard of those checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 from .nef_model import (
     MeanDomainError,
@@ -33,6 +33,26 @@ from .nef_model import (
 from .ratpoly import Poly, RationalLike, rat
 
 Bound = Fraction | None  # open-interval endpoint; None = unbounded
+T = TypeVar("T")
+
+
+def _finite(value: object) -> bool:
+    """False if value is a non-finite float, alone or inside (nested) tuples."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, tuple) or all(_finite(v) for v in value)
+
+
+def guarded(evaluate: Callable[[], T], failed: T) -> tuple[T, str | None]:
+    """(value, None), or (failed, reason) when evaluate overflows, divides by
+    zero, leaves a domain or returns a non-finite float."""
+    try:
+        value = evaluate()
+    except (ArithmeticError, ValueError) as exc:  # MeanDomainError is a ValueError
+        return failed, f"{type(exc).__name__}: {exc}"
+    if not _finite(value):
+        return failed, "FloatingPointError: non-finite result"
+    return value, None
 
 
 @dataclass(frozen=True)
@@ -41,14 +61,13 @@ class ClosedForms:
 
     ``psi`` maps a mean to the canonical parameter of the *un-anchored*
     family; ``cumulant`` is k(theta) for the same normalization.
-    ``log_density0`` is the log density of the generating measure itself
-    (None for lattice families, where quadrature is meaningless).
+    ``log_density0`` is the log density of the generating measure on
+    (0, inf), the one support quadrature integrates over; None otherwise.
     """
 
     psi: Callable[[float], float]
     cumulant: Callable[[float], float]
     log_density0: Callable[[float], float] | None
-    support: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -93,22 +112,17 @@ class RebasedForms:
         return self._forms.log_density0 is not None
 
     def base_density(self, x: float) -> float:
-        """Density of the anchored base measure on its support."""
+        """Density of the anchored base measure on (0, inf); 0 for x <= 0."""
         if self._forms.log_density0 is None:
             raise UnsupportedFamilyError(
                 f"family '{self.family}' has no closed-form density"
             )
-        lo, hi = self._forms.support
-        if not (lo < x < hi):
+        if x <= 0.0:
             return 0.0
         log0 = self._forms.log_density0(x)
         return math.exp(
             log0 + self.theta0 * x - self._forms.cumulant(self.theta0)
         )
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self._forms.support
 
 
 @dataclass(frozen=True)
@@ -169,14 +183,13 @@ class Family:
             -math.inf if lo is None else float(lo),
             math.inf if hi is None else float(hi),
         )
-        try:
-            m0f = float(m0)
-            theta0 = self.closed_forms.psi(m0f)
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        psi = self.closed_forms.psi
+        (m0f, theta0), reason = guarded(lambda: (float(m0), psi(float(m0))), (0.0, 0.0))
+        if reason is not None:
             raise MeanDomainError(
                 f"m0 = {m0} of family '{self.name}' is out of float range for its "
-                f"closed forms ({type(exc).__name__}: {exc})"
-            ) from None
+                f"closed forms ({reason})"
+            )
         return RebasedForms(
             family=self.name,
             m0=m0f,
@@ -184,11 +197,6 @@ class Family:
             mean_domain=domain,
             _forms=self.closed_forms,
         )
-
-
-# ---------------------------------------------------------------------------
-# Cubic families (unit parameters unless stated)
-# ---------------------------------------------------------------------------
 
 
 def inverse_gaussian(p: RationalLike = 1) -> Family:
@@ -206,106 +214,12 @@ def inverse_gaussian(p: RationalLike = 1) -> Family:
             - 1.5 * math.log(x)
             - pf * pf / (2.0 * x)
         ),
-        support=(0.0, math.inf),
     )
     return Family(
         name="ig",
         params={"p": p},
         mean_domain=(Fraction(0), None),
         variance=Poly((0, 0, 0, 1 / p**2)),
-        closed_forms=forms,
-    )
-
-
-def strict_arcsine() -> Family:
-    """Strict arcsine (p = 1): V(m) = m^3 + m on m > 0."""
-    return Family(
-        name="strict-arcsine",
-        params={"p": Fraction(1)},
-        mean_domain=(Fraction(0), None),
-        variance=Poly((0, 1, 0, 1)),
-    )
-
-
-def takacs() -> Family:
-    """Takacs (p = a = 1): V(m) = m(m + 1)(2m + 1) on m > 0."""
-    return Family(
-        name="takacs",
-        params={"p": Fraction(1), "a": Fraction(1)},
-        mean_domain=(Fraction(0), None),
-        variance=Poly((0, 1, 3, 2)),
-    )
-
-
-def large_arcsine() -> Family:
-    """Large arcsine (p = a = 1): V(m) = 2m^3 + 2m^2 + m + 4 on m > 0.
-
-    The constant term is reconstructed from the recurrence row (V(1) = 9)
-    together with the slope text V'(m) = 6m^2 + 4m + 1; see table1 notes.
-    """
-    return Family(
-        name="large-arcsine",
-        params={"p": Fraction(1), "a": Fraction(1)},
-        mean_domain=(Fraction(0), None),
-        variance=Poly((4, 1, 2, 2)),
-    )
-
-
-def ressel() -> Family:
-    """Ressel (p = 1): V(m) = m^2 (m + 1) on m > 0."""
-    return Family(
-        name="ressel",
-        params={"p": Fraction(1)},
-        mean_domain=(Fraction(0), None),
-        variance=Poly((0, 0, 1, 1)),
-    )
-
-
-def abel() -> Family:
-    """Abel (p = 1): V(m) = m (m + 1)^2 on m > 0."""
-    return Family(
-        name="abel",
-        params={"p": Fraction(1)},
-        mean_domain=(Fraction(0), None),
-        variance=Poly((0, 1, 2, 1)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadratic baselines (Morris class)
-# ---------------------------------------------------------------------------
-
-
-def normal() -> Family:
-    """Normal with unit variance: V(m) = 1 on all of R."""
-    forms = ClosedForms(
-        psi=lambda m: m,
-        cumulant=lambda t: 0.5 * t * t,
-        log_density0=lambda x: -0.5 * x * x - 0.5 * math.log(2.0 * math.pi),
-        support=(-math.inf, math.inf),
-    )
-    return Family(
-        name="normal",
-        params={},
-        mean_domain=(None, None),
-        variance=Poly((1,)),
-        closed_forms=forms,
-    )
-
-
-def poisson() -> Family:
-    """Poisson: V(m) = m on m > 0.  Lattice family; no continuous density."""
-    forms = ClosedForms(
-        psi=math.log,
-        cumulant=lambda t: math.exp(t) - 1.0,
-        log_density0=None,
-        support=(0.0, math.inf),
-    )
-    return Family(
-        name="poisson",
-        params={},
-        mean_domain=(Fraction(0), None),
-        variance=Poly((0, 1)),
         closed_forms=forms,
     )
 
@@ -346,7 +260,6 @@ def gamma(shape: RationalLike = 1) -> Family:
         psi=lambda m: 1.0 - lf / m,
         cumulant=lambda t: -lf * math.log1p(-t),
         log_density0=lambda x: (lf - 1.0) * math.log(x) - x - math.lgamma(lf),
-        support=(0.0, math.inf),
     )
     return Family(
         name="gamma",
@@ -357,33 +270,42 @@ def gamma(shape: RationalLike = 1) -> Family:
     )
 
 
-def hyperbolic_cosine() -> Family:
-    """Hyperbolic cosine baseline: V(m) = 1 + m^2 on all of R."""
-    return Family(
-        name="hyperbolic-cosine",
-        params={},
-        mean_domain=(None, None),
-        variance=Poly((1, 0, 1)),
-    )
-
-
-#: Catalog in a fixed, deterministic order: the six cubic families first,
-#: then the six quadratic baselines.
+#: Catalog in a fixed, deterministic order: the six cubic families (unit
+#: parameters but for the inverse Gaussian), then the six quadratic ones.
 CATALOG: dict[str, Family] = {
     f.name: f
     for f in (
         inverse_gaussian(),
-        strict_arcsine(),
-        takacs(),
-        large_arcsine(),
-        ressel(),
-        abel(),
-        normal(),
-        poisson(),
+        # V(m) = m (m^2 + 1)
+        Family(name="strict-arcsine", params={"p": Fraction(1)},
+               mean_domain=(Fraction(0), None), variance=Poly((0, 1, 0, 1))),
+        # V(m) = m (m + 1)(2m + 1)
+        Family(name="takacs", params={"p": Fraction(1), "a": Fraction(1)},
+               mean_domain=(Fraction(0), None), variance=Poly((0, 1, 3, 2))),
+        # The constant term is reconstructed from the recurrence row (V(1) = 9)
+        # together with the slope text V'(m) = 6m^2 + 4m + 1; see table1 notes.
+        Family(name="large-arcsine", params={"p": Fraction(1), "a": Fraction(1)},
+               mean_domain=(Fraction(0), None), variance=Poly((4, 1, 2, 2))),
+        # V(m) = m^2 (m + 1)
+        Family(name="ressel", params={"p": Fraction(1)},
+               mean_domain=(Fraction(0), None), variance=Poly((0, 0, 1, 1))),
+        # V(m) = m (m + 1)^2
+        Family(name="abel", params={"p": Fraction(1)},
+               mean_domain=(Fraction(0), None), variance=Poly((0, 1, 2, 1))),
+        # Unit variance; its density lives on the whole line, so no quadrature.
+        Family(name="normal", params={}, mean_domain=(None, None), variance=Poly((1,)),
+               closed_forms=ClosedForms(psi=lambda m: m, cumulant=lambda t: 0.5 * t * t,
+                                        log_density0=None)),
+        # A lattice family: no continuous density.
+        Family(name="poisson", params={}, mean_domain=(Fraction(0), None),
+               variance=Poly((0, 1)),
+               closed_forms=ClosedForms(psi=math.log, cumulant=lambda t: math.exp(t) - 1.0,
+                                        log_density0=None)),
         binomial(),
         negative_binomial(),
         gamma(),
-        hyperbolic_cosine(),
+        Family(name="hyperbolic-cosine", params={}, mean_domain=(None, None),
+               variance=Poly((1, 0, 1))),
     )
 }
 

@@ -15,14 +15,16 @@ compare a truncated series built from exact objects with a closed form:
   against the truncated double series 1 + sum a_nq (m - m0)^n (m' - m0)^q
   built from exact normalized Gram entries.
 
-Each returns a `Probe`.  Both sides of a probe are evaluated under one
-guard, so a series or closed form that overflows or leaves its domain makes
-a non-converged probe with a ``reason`` instead of an exception.  The
-Sheffer probe reuses the partial-sum engine verbatim with weight w = t*z
-(the two agree bitwise when handed identical float weights).
+Each returns a `Probe`.  Both sides of a probe are evaluated under the one
+float guard, `families.guarded`, so a series or closed form that overflows,
+divides by zero, leaves its domain or comes out non-finite makes a
+non-converged probe with a ``reason`` instead of an exception.  The Sheffer
+probe reuses the partial-sum engine verbatim with weight w = t*z (the two
+agree bitwise when handed identical float weights).
 
-Adaptive quadrature of P_n P_q against the base density cross-checks exact
-Gram entries end to end.
+Adaptive quadrature of P_n P_q against the base density on (0, inf)
+cross-checks exact Gram entries end to end, under the same guard; a family
+without such a density raises `UnsupportedFamilyError`.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 from scipy import integrate as _integrate
 
-from .families import RebasedForms
+from .families import RebasedForms, guarded
 from .ortho import GramMatrix
 from .polyseq import PolySequence
 from .ratpoly import RationalLike, rat
-
-T = TypeVar("T")
 
 # Default absolute tolerances of the float checks; `verify --abs-tol`
 # overrides all three.  A quadrature entry passes when it is within
@@ -47,14 +47,6 @@ T = TypeVar("T")
 SERIES_ABS_TOL = 1e-8
 BILINEAR_ABS_TOL = 1e-6
 QUAD_ABS_TOL = 1e-6
-
-
-def guarded(evaluate: Callable[[], T], failed: T) -> tuple[T, str | None]:
-    """(value, None), or (failed, reason) when evaluate overflows or leaves a domain."""
-    try:
-        return evaluate(), None
-    except (OverflowError, ValueError) as exc:  # MeanDomainError is a ValueError
-        return failed, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -274,7 +266,7 @@ def quadrature_crosscheck(
     n: int,
     q: int,
 ) -> QuadratureResult:
-    """Numerically integrate P_n P_q against the base density on its support.
+    """Numerically integrate P_n P_q against the base density on (0, inf).
 
     The lower tail is handled by the substitution y = 1/x (the density's
     x -> 0+ behaviour is quadrature-hostile otherwise); both half-lines are
@@ -286,10 +278,6 @@ def quadrature_crosscheck(
 
     def integrand(x: float) -> float:
         return pn.eval_float(x) * pq.eval_float(x) * forms.base_density(x)
-
-    lo, hi = forms.support
-    if not (lo == 0.0 and hi == math.inf):
-        raise ValueError("quadrature is implemented for supports (0, inf)")
 
     split = max(forms.m0, 1.0)
 

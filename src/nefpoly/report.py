@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
-from .families import Family, RebasedForms
+from .families import Family, RebasedForms, guarded
 from .genfun import (
     BILINEAR_ABS_TOL,
     QUAD_ABS_TOL,
     SERIES_ABS_TOL,
     bilinear_identity,
-    guarded,
     partial_sum_density,
     quadrature_crosscheck,
     sheffer_check,
@@ -116,7 +115,7 @@ def _genfun_block(
     ok = all(p.converged for found in probes.values() for p in found)
 
     quadrature = None
-    if forms.has_base_density and forms.support == (0.0, float("inf")):
+    if forms.has_base_density:
         quadrature = []
         unevaluated = {"value": None, "error_estimate": None, "abs_diff": None}
         for n in range(0, QUAD_ORDER + 1):

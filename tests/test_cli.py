@@ -21,6 +21,15 @@ def run(capsys, *args):
     return code, captured.out
 
 
+def strict_json(text):
+    """json.loads that rejects the bare NaN and Infinity RFC 8259 does not allow."""
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestFamilies:
     def test_counts(self, capsys):
         code, out = run(capsys, "families")
@@ -253,6 +262,8 @@ class TestVerify:
             ("poisson", HUGE),
             ("normal", HUGE),
             ("normal", "-" + HUGE),
+            # psi(m0) = -1/(2 m0^2) underflows to theta0 = -inf
+            pytest.param("ig", "1/1" + "0" * 160, id="ig-1/10^160"),
         ),
         ids=lambda v: v.replace(HUGE, "10^400"),
     )
@@ -265,6 +276,28 @@ class TestVerify:
         # Without genfun the float closed forms are never needed.
         code, _ = run(capsys, "verify", family, f"--m0={m0}", "--n", "4", "--checks", EXACT)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "family, m0, group",
+        (
+            pytest.param("ig", "1/1" + "0" * 15, "quadrature", id="ig-1/10^15"),
+            pytest.param("ig", "1/1" + "0" * 100, "quadrature", id="ig-1/10^100"),
+            pytest.param("gamma", "1/1" + "0" * 20, "quadrature", id="gamma-1/10^20"),
+            pytest.param("gamma", "1/1" + "0" * 150, "quadrature", id="gamma-1/10^150"),
+            pytest.param("normal", "1" + "0" * 200, "bilinear", id="normal-10^200"),
+            pytest.param("normal", "-1" + "0" * 200, "bilinear", id="normal--10^200"),
+        ),
+    )
+    def test_non_finite_values_are_reasons_not_bare_nan(self, capsys, family, m0, group):
+        code, out = run(capsys, "verify", family, f"--m0={m0}", "--checks", "genfun")
+        assert code == 1
+        entries = strict_json(out)["body"]["families"][0]["checks"]["genfun"][group]
+        non_finite = [
+            e for e in entries if e.get("reason", "").startswith("FloatingPointError:")
+        ]
+        assert non_finite
+        null = ("value", "error_estimate", "abs_diff") if group == "quadrature" else ("residual",)
+        assert all(e[k] is None for e in non_finite for k in null)
 
     def test_rel_tol_flag_removed(self, capsys):
         assert main(["verify", "ig", "--rel-tol", "1e-3"]) == 2
@@ -339,4 +372,4 @@ def test_genfun_never_raises_on_in_domain_anchors(family, p, q, negative):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", family, f"--m0={sign}{p}/{q}", "--checks", "genfun"])
     assert code in (0, 1)
-    assert len(json.loads(out.getvalue())["body"]["families"]) == 1
+    assert len(strict_json(out.getvalue())["body"]["families"]) == 1

@@ -1,4 +1,5 @@
-"""Contracts that hold across refactors: report bodies and benchmark hooks.
+"""Contracts that hold across refactors: report bodies, the catalog listing
+and benchmark hooks.
 
 The exact golden bodies are three `verify` runs restricted to the exact
 checks, so no float leaf can drift; each is compared byte for byte, as
@@ -9,6 +10,10 @@ exit codes and every non-float leaf are always compared.  Their float leaves
 are compared exactly only on the Python and SciPy versions recorded in
 `golden/float-versions.json`; on any other versions that one test skips and
 names both sets of versions.
+
+The catalog goldens are the `families` listing in text and JSON; they pin
+every row's name, class, params, mean domain, V(m) and closed-forms flag,
+and are compared byte for byte.
 
 After a change meant to alter these bodies, regenerate them with
 
@@ -43,6 +48,11 @@ FLOAT_CASES = {
     "verify-all-float": (["--all"], 0),
     "verify-anchor-2-9-float": (["ig", "gamma", "poisson", "takacs", "--m0=2/9"], 1),
 }
+# golden file name -> `families` arguments
+LISTINGS = {
+    "families.txt": [],
+    "families.json": ["--format", "json"],
+}
 
 
 def run_body(args: list[str], path: Path) -> tuple[int, str]:
@@ -50,6 +60,12 @@ def run_body(args: list[str], path: Path) -> tuple[int, str]:
     code = main(["verify", *args, "--out", str(path)])
     body = json.loads(path.read_text(encoding="utf-8"))["body"]
     return code, json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def run_listing(args: list[str], path: Path) -> str:
+    """The catalog listing as `families --out` writes it."""
+    assert main(["families", *args, "--out", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
 
 
 def golden(name: str) -> str:
@@ -75,6 +91,13 @@ def test_golden_body(name, tmp_path):
     code, body = run_body(args, tmp_path / "report.json")
     assert code == want_code
     assert body == golden(name)
+
+
+@pytest.mark.parametrize("name", LISTINGS)
+def test_golden_listing(name, tmp_path):
+    assert run_listing(LISTINGS[name], tmp_path / name) == (GOLDEN / name).read_text(
+        encoding="utf-8"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -127,4 +150,6 @@ if __name__ == "__main__":
             code, body = run_body(args, Path(tmp) / "report.json")
             (GOLDEN / f"{name}.json").write_text(body, encoding="utf-8")
             print(f"{name}: exit {code}")
+        for name, args in LISTINGS.items():
+            (GOLDEN / name).write_text(run_listing(args, Path(tmp) / name), encoding="utf-8")
     FLOAT_VERSIONS.write_text(json.dumps(versions(), indent=2) + "\n", encoding="utf-8")

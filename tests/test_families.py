@@ -7,6 +7,7 @@ from nefpoly import MeanDomainError, UnsupportedFamilyError, lookup
 from nefpoly.families import (
     CATALOG,
     binomial,
+    guarded,
     inverse_gaussian,
     negative_binomial,
 )
@@ -141,3 +142,18 @@ class TestRebase:
         assert not forms.has_base_density
         with pytest.raises(UnsupportedFamilyError):
             forms.base_density(1.0)
+
+
+class TestGuarded:
+    def test_finite_value_passes_through(self):
+        assert guarded(lambda: ((1.0, 2.0), 3.0), None) == (((1.0, 2.0), 3.0), None)
+
+    @pytest.mark.parametrize("value", (math.inf, (1.0, -math.inf), ((0.0, math.nan), 1.0)))
+    def test_non_finite_float_is_a_failure(self, value):
+        result, reason = guarded(lambda: value, "failed")
+        assert result == "failed" and reason == "FloatingPointError: non-finite result"
+
+    def test_division_by_zero_is_a_failure(self):
+        assert guarded(lambda: 1.0 / 0.0, None) == (
+            None, "ZeroDivisionError: float division by zero"
+        )

@@ -155,16 +155,21 @@ class TestQuadrature:
         assert not res.converged
         assert res.reason == "ValueError: math domain error"
 
-    def test_lattice_family_rejected(self):
-        family = lookup("poisson")
-        forms = family.rebase(1)
-        seq = recurrence_sequence(family.variance_at(1), 4)
-        with pytest.raises(UnsupportedFamilyError):
-            quadrature_crosscheck(forms, seq, 0, 0)
+    @pytest.mark.parametrize("m0", (10**170, 10**200, 10**300), ids=("10^170", "10^200", "10^300"))
+    def test_huge_split_gives_a_reason(self, m0):
+        # past a split of ~1.3e154 the lower-tail substitution x = 1/y
+        # divides by y*y, which underflows to 0
+        family = lookup("ig")
+        seq = recurrence_sequence(family.variance_at(m0), 1)
+        res = quadrature_crosscheck(family.rebase(m0), seq, 0, 0)
+        assert not res.converged
+        assert res.reason == "ZeroDivisionError: float division by zero"
 
-    def test_full_line_support_rejected(self):
-        family = lookup("normal")
-        forms = family.rebase(0)
-        seq = recurrence_sequence(family.variance_at(0), 4)
-        with pytest.raises(ValueError):
+    # poisson is a lattice family; normal's density lives on the whole line
+    @pytest.mark.parametrize("name, m0", (("poisson", 1), ("normal", 0)))
+    def test_family_without_half_line_density_rejected(self, name, m0):
+        family = lookup(name)
+        forms = family.rebase(m0)
+        seq = recurrence_sequence(family.variance_at(m0), 4)
+        with pytest.raises(UnsupportedFamilyError):
             quadrature_crosscheck(forms, seq, 0, 0)
