@@ -42,6 +42,16 @@ def _order_at_least(minimum: int):
     return integer
 
 
+def _check_list(text: str) -> tuple[str, ...]:
+    """argparse type: a non-empty comma-separated list of distinct known checks."""
+    checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not checks or not set(checks) <= set(ALL_CHECKS) or len(set(checks)) < len(checks):
+        raise argparse.ArgumentTypeError(
+            f"must list distinct checks from {','.join(ALL_CHECKS)}, got {text!r}"
+        )
+    return checks
+
+
 def _bind_negative_m0(argv: list[str]) -> list[str]:
     """Join '--m0 -p/q' into '--m0=-p/q': argparse reads a lone '-3/7' as a flag."""
     out: list[str] = []
@@ -193,27 +203,14 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.all:
-        fams = list(CATALOG.values())
-    elif args.families:
-        fams = [lookup(name) for name in args.families]
-    else:
-        print("verify: pass one or more family names, or --all", file=sys.stderr)
+    if args.all == bool(args.families):
+        print("verify: pass one or more family names or --all, but not both", file=sys.stderr)
         return USAGE_ERROR
-    checks = ALL_CHECKS
-    if args.checks:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        unknown = [c for c in checks if c not in ALL_CHECKS]
-        if unknown:
-            print(
-                f"verify: unknown checks {unknown}; known: {list(ALL_CHECKS)}",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
+    fams = list(CATALOG.values()) if args.all else [lookup(name) for name in args.families]
     opts = VerifyOptions(
         exact_order=args.n,
         abs_tol=args.abs_tol,
-        checks=checks,
+        checks=args.checks,
         inject_typo=args.inject_typo,
         m0=args.m0,
     )
@@ -271,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"order for the exact suites, >= {MIN_EXACT_ORDER} (default 12)")
     p_ver.add_argument("--m0", type=_rational, default=None,
                        help="anchor mean (default: per-family anchor)")
-    p_ver.add_argument("--checks", default=None,
+    p_ver.add_argument("--checks", type=_check_list, default=ALL_CHECKS,
                        help="comma-separated subset of: " + ",".join(ALL_CHECKS))
     p_ver.add_argument("--abs-tol", type=_positive_float, default=None,
                        help="override the absolute tolerances of float checks")

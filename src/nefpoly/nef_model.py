@@ -11,9 +11,11 @@ Everything exact in this package is driven by those four coefficients:
 * cumulants, via the chain kappa_{n+1}(m) = V(m) * d kappa_n / dm evaluated
   at m0 (kappa_1(m) = m, and V = k'' o psi makes the chain an identity);
 * raw moments, via the standard binomial moment/cumulant recursion;
-* the Taylor series of the canonical-parameter map psi(m0 + u) and of the
-  composed cumulant function (k o psi)(m0 + u), obtained by antidifferentiating
-  1/V and (m0 + u)/V, since d(psi)/dm = 1/V and d(k o psi)/dm = m/V.
+* the Taylor series of the canonical-parameter map psi(m0 + u), the
+  antiderivative of 1/V(m0 + u) (d(psi)/dm = 1/V), with 1/V expanded by
+  dividing 1 by V in ascending powers of u;
+* the Taylor series of the composed cumulant function (k o psi)(m0 + u),
+  read off psi's: d(k o psi)/dm = m/V = m * d(psi)/dm.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import series
 from .ratpoly import Poly, rat
 
 
@@ -135,16 +136,10 @@ def cumulants(spec: VarianceSpec, order: int) -> CumulantTable:
     return CumulantTable(m0=spec.m0, kappa=kappa)
 
 
-def raw_moments(table: CumulantTable, order: int | None = None) -> MomentTable:
-    """Raw moments from cumulants: mom_{n+1} = sum_k C(n,k) kappa_{k+1} mom_{n-k}."""
-    if order is None:
-        order = table.order
-    if order > table.order:
-        raise ValueError(
-            f"need cumulants through order {order}, table has {table.order}"
-        )
+def raw_moments(table: CumulantTable) -> MomentTable:
+    """Raw moments through the table's order: mom_{n+1} = sum_k C(n,k) kappa_{k+1} mom_{n-k}."""
     mom = [Fraction(1)]
-    for n in range(order):
+    for n in range(table.order):
         acc = Fraction(0)
         for k in range(n + 1):
             acc += math.comb(n, k) * table.kappa[k + 1] * mom[n - k]
@@ -156,31 +151,34 @@ def moment_table(spec: VarianceSpec, order: int) -> MomentTable:
     """Exact raw moments of the anchored base measure through the given order."""
     if order == 0:
         return MomentTable(m0=spec.m0, mom=(Fraction(1),))
-    return raw_moments(cumulants(spec, order), order)
+    return raw_moments(cumulants(spec, order))
 
 
 def psi_series(spec: VarianceSpec, order: int) -> list[Fraction]:
     """Taylor coefficients (orders 0..order) of psi(m0 + u) in u.
 
     psi is the canonical-parameter map anchored so psi(m0) = 0; its
-    derivative is 1/V, so the series is the antiderivative of the
-    truncated reciprocal of the variance polynomial.
+    derivative is 1/V.  1/V(m0 + u) is found by dividing 1 by V in
+    ascending powers of u (each step reads back at most a1, a2, a3), and
+    the quotient is integrated term by term.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
-    recip = series.reciprocal(list(spec.a), order - 1)
-    return series.integrate(recip, order)
+    recip: list[Fraction] = []  # [u^n] 1/V(m0 + u)
+    for n in range(order):
+        tail = sum(spec.a[k] * recip[n - k] for k in range(1, min(n, 3) + 1))
+        recip.append(((1 if n == 0 else 0) - tail) / spec.a0)
+    return [Fraction(0)] + [c / j for j, c in enumerate(recip, start=1)]
 
 
 def kpsi_series(spec: VarianceSpec, order: int) -> list[Fraction]:
     """Taylor coefficients (orders 0..order) of (k o psi)(m0 + u) in u.
 
-    d(k o psi)/dm = m/V, so this is the antiderivative of
-    (m0 + u) * (1/V)(u), anchored to vanish at u = 0.
+    d(k o psi)/dm = m/V = (m0 + u) * d(psi)/dm, so integrating term by
+    term gives [u^j] = m0 psi_j + (j - 1)/j psi_{j-1}, anchored to vanish
+    at u = 0.
     """
-    if order < 1:
-        raise ValueError("series order must be >= 1")
-    recip = series.reciprocal(list(spec.a), order - 1)
-    integrand = series.multiply([spec.m0, Fraction(1)], recip, order - 1)
-    return series.integrate(integrand, order)
-
+    psi = psi_series(spec, order)
+    return [Fraction(0)] + [
+        spec.m0 * psi[j] + Fraction(j - 1, j) * psi[j - 1] for j in range(1, order + 1)
+    ]

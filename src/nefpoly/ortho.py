@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .nef_model import MomentTable, NefError
 from .polyseq import PolySequence
@@ -135,50 +136,27 @@ class OrthoReport:
     verdict: str  # "two_orthogonal" | "fully_orthogonal" | "neither"
     checked_order: int
     violations: tuple[Violation, ...]
-    recovered: RecoveredVariance | None = None
 
 
-def _two_ortho_violations(g: GramMatrix) -> list[Violation]:
-    """Nonzero forced entries of the lower triangle, row by row."""
-    return [
+def _scan(g: GramMatrix, must_vanish: Callable[[int, int], bool], verdict: str) -> OrthoReport:
+    """Nonzero entries of the lower triangle where must_vanish holds, row by row."""
+    bad = tuple(
         Violation(n, q, g.entry(n, q))
         for n in range(1, g.order + 1)
         for q in range(n)
-        if forced_zero(n, q) and g.entry(n, q) != 0
-    ]
+        if must_vanish(n, q) and g.entry(n, q) != 0
+    )
+    return OrthoReport("neither" if bad else verdict, g.order, bad)
 
 
 def check_two_orthogonality(g: GramMatrix) -> OrthoReport:
-    """Verdict on the 2-orthogonality zero pattern, with violations listed.
-
-    When the pattern holds and the matrix reaches order 3, the recoverable
-    variance coefficients (a0, a2, a3) are attached.
-    """
-    bad = _two_ortho_violations(g)
-    recovered = None
-    if not bad and g.order >= 3 and g.entry(1, 1) != 0:
-        recovered = recover_variance_from_gram(g)
-    return OrthoReport(
-        verdict="two_orthogonal" if not bad else "neither",
-        checked_order=g.order,
-        violations=tuple(bad),
-        recovered=recovered,
-    )
+    """Verdict on the 2-orthogonality zero pattern, with violations listed."""
+    return _scan(g, forced_zero, "two_orthogonal")
 
 
 def check_full_orthogonality(g: GramMatrix) -> OrthoReport:
     """Verdict on plain diagonality of the Gram matrix."""
-    bad = [
-        Violation(n, q, g.entry(n, q))
-        for n in range(g.order + 1)
-        for q in range(n)
-        if g.entry(n, q) != 0
-    ]
-    return OrthoReport(
-        verdict="fully_orthogonal" if not bad else "neither",
-        checked_order=g.order,
-        violations=tuple(bad),
-    )
+    return _scan(g, lambda n, q: True, "fully_orthogonal")
 
 
 def recover_variance_from_gram(g: GramMatrix) -> RecoveredVariance:

@@ -19,8 +19,9 @@ measure, taken at m = m0.  Two constructions are implemented:
       P_{n+1} = sum_{k=0}^{n} C(n, k) g_{k+1}(x) P_{n-k},
 
   where g_j(x) = j! (psi_j x - (k o psi)_j) is the j-th mean-derivative of
-  h at m0, with psi_j and (k o psi)_j exact Taylor coefficients from the
-  series layer.  This route never calls the four-term recurrence.
+  h at m0, with psi_j and (k o psi)_j exact Taylor coefficients: psi' = 1/V,
+  and (k o psi)' = m/V = m psi' is read off psi.  This route never calls the
+  four-term recurrence.
 
 Agreement of the two, coefficient by coefficient in exact arithmetic, is one
 of the package's core verification targets.
@@ -96,7 +97,8 @@ def faa_di_bruno_sequence(spec: VarianceSpec, order: int) -> PolySequence:
 
     P_{n+1} = sum_{k=0}^{n} C(n, k) g_{k+1}(x) P_{n-k}, with g_j(x) the j-th
     mean-derivative at m0 of psi(m) x - k(psi(m)), a degree-1 polynomial
-    obtained exactly from the series layer.  O(order^2) polynomial products.
+    read off the exact Taylor coefficients of psi and k o psi.  O(order^2)
+    polynomial products.
     """
     if order < 0:
         raise ValueError("sequence order must be >= 0")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -203,51 +203,37 @@ class Poly:
         """Coefficients as exact ``"num/den"`` strings, lowest degree first."""
         return [str(c) for c in self._coeffs]
 
-    def _term_str(self, k: int, mag: Fraction, var: str) -> str:
-        if k == 0:
-            return str(mag)
-        xpow = var if k == 1 else f"{var}^{k}"
-        if mag == 1:
-            return xpow
-        if mag.denominator == 1:
-            return f"{mag}{xpow}"
-        return f"({mag}){xpow}"
+    def _render(self, term: Callable[[int, Fraction], str]) -> str:
+        """Signed terms, highest degree first; term(k, |c_k|) writes one."""
+        parts: list[str] = []
+        for k in range(len(self._coeffs) - 1, -1, -1):
+            c = self._coeffs[k]
+            if c == 0:
+                continue
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + term(k, abs(c)))
+        return " ".join(parts) or "0"
 
     def to_str(self, var: str = "x") -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if c == 0:
-                continue
-            term = self._term_str(k, abs(c), var)
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        def term(k: int, mag: Fraction) -> str:
+            if k == 0:
+                return str(mag)
+            xpow = var if k == 1 else f"{var}^{k}"
+            if mag == 1:
+                return xpow
+            return f"{mag}{xpow}" if mag.denominator == 1 else f"({mag}){xpow}"
+
+        return self._render(term)
 
     def to_latex(self, var: str = "x") -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if mag.denominator == 1:
-                coeff = "" if (mag == 1 and k > 0) else str(mag)
-            else:
+        def term(k: int, mag: Fraction) -> str:
+            if mag.denominator != 1:
                 coeff = rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-            xpow = "" if k == 0 else (var if k == 1 else f"{var}^{{{k}}}")
-            term = f"{coeff}{xpow}" or "1"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+                coeff = "" if (mag == 1 and k > 0) else str(mag)
+            return coeff + ("" if k == 0 else (var if k == 1 else f"{var}^{{{k}}}"))
+
+        return self._render(term)
 
     def __str__(self) -> str:
         return self.to_str()

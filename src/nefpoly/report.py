@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import __version__
 from .families import Family, RebasedForms, guarded
@@ -26,7 +27,7 @@ from .genfun import (
     quadrature_crosscheck,
     sheffer_check,
 )
-from .nef_model import VarianceSpec, moment_table
+from .nef_model import NefError, VarianceSpec, moment_table
 from .ortho import (
     GramMatrix,
     RecoveredVariance,
@@ -183,6 +184,8 @@ def verify_spec(
         g_ortho = gram(seq_ortho, moments)
 
     checks: dict[str, dict | None] = {name: None for name in ALL_CHECKS}
+    if "two-ortho" in opts.checks or "recover" in opts.checks:
+        rec = recover_variance_from_gram(g_ortho)
 
     if "two-ortho" in opts.checks:
         rep = check_two_orthogonality(g_ortho)
@@ -192,7 +195,7 @@ def verify_spec(
             "violations": [
                 {"n": v.n, "q": v.q, "value": str(v.value)} for v in rep.violations
             ],
-            "recovered": None if rep.recovered is None else _recovered_json(rep.recovered),
+            "recovered": None if rep.violations else _recovered_json(rec),
             "pass": rep.verdict == "two_orthogonal",
         }
 
@@ -218,7 +221,6 @@ def verify_spec(
 
     if "recover" in opts.checks:
         fit = fit_recurrence(seq_ortho)
-        rec = recover_variance_from_gram(g_ortho)
         checks["recover"] = {
             "fitted": {
                 "m0": str(fit.m0),
@@ -238,11 +240,28 @@ def verify_spec(
     return checks
 
 
+def _anchor(family: Family, opts: VerifyOptions) -> Fraction:
+    """--m0, else the family's default anchor: 0 on the real line, 1 elsewhere."""
+    default = 0 if family.mean_domain == (None, None) else 1
+    return rat(default if opts.m0 is None else opts.m0)
+
+
+def _refuse_unreached(families: list[Family], opts: VerifyOptions) -> None:
+    """Raise NefError if the selected checks or --inject-typo would reach nothing."""
+    if opts.checks == ("genfun",) and all(f.closed_forms is None for f in families):
+        raise NefError("--checks genfun: no selected family has closed forms")
+    if opts.inject_typo and not {"two-ortho", "full-ortho", "recover"} & set(opts.checks):
+        raise NefError("--inject-typo: no selected check reads P_2")
+    if opts.inject_typo and not any(
+        f.name in PRINTED_ROWS and _anchor(f, opts) == 1 for f in families
+    ):
+        raise NefError("--inject-typo: no selected family has a printed row at its m0")
+
+
 def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
     """Resolve a family's anchor, closed forms and printed row, then run
     `verify_spec`; returns (block, passed)."""
-    default = 0 if family.mean_domain == (None, None) else 1
-    m0 = rat(default if opts.m0 is None else opts.m0)
+    m0 = _anchor(family, opts)
     spec = family.variance_at(m0)
     forms = None
     if "genfun" in opts.checks and family.closed_forms is not None:
@@ -294,6 +313,7 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
 
 def build_report(families: list[Family], opts: VerifyOptions) -> tuple[dict, bool]:
     """Full verification report over the given families, in catalog order."""
+    _refuse_unreached(families, opts)
     blocks = []
     overall = True
     for fam in families:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from nefpoly import Poly
+from nefpoly import Poly, VarianceSpec
 
 settings.register_profile(
     "nefpoly",
@@ -25,4 +25,16 @@ nonzero_rationals = rationals.filter(lambda r: r != 0)
 
 positive_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=Fraction(8), max_denominator=12
+)
+
+# random-but-valid variance specs: a0 > 0, arbitrary a1..a3
+variance_specs = st.builds(
+    VarianceSpec,
+    m0=rationals,
+    a=st.tuples(
+        st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+        rationals,
+        rationals,
+        rationals,
+    ),
 )

@@ -2,9 +2,10 @@
 
 The runtime builds cumulants by the chain kappa_{n+1} = V * d kappa_n / dm;
 `cumulants_via_inversion` reaches them by reverting the series of the
-parameter map instead, so the two can be compared exactly.  The remaining
-helpers are small views of the catalog and of polynomials that the runtime
-never needs.
+parameter map instead, so the two can be compared exactly, with its own
+truncated power-series arithmetic (`pad`, `multiply`, `compose`, `revert`).
+The remaining helpers are small views of the catalog and of polynomials that
+the runtime never needs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,29 @@ from nefpoly import Poly, VarianceSpec, kpsi_series, psi_series, rat
 from nefpoly.families import CATALOG, Family
 from nefpoly.nef_model import CumulantTable
 from nefpoly.ratpoly import RationalLike
-from nefpoly.series import Series, multiply, pad
 from nefpoly.table1 import TableComparison, compare_with_printed
+
+# A truncated power series of order N: [c0, ..., cN], read as
+# c0 + c1 u + ... + cN u**N + O(u**(N+1)).
+Series = list[Fraction]
+
+
+def pad(c: Sequence[RationalLike], order: int) -> Series:
+    """Copy, coerced exact, truncated/zero-padded to length order + 1."""
+    out = [rat(x) for x in c[: order + 1]]
+    out.extend([Fraction(0)] * (order + 1 - len(out)))
+    return out
+
+
+def multiply(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> Series:
+    """a * b to the given order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ca in enumerate(a[: order + 1]):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b[: order + 1 - i]):
+            out[i + j] += ca * cb
+    return out
 
 
 def compose(outer: Sequence[Fraction], inner: Sequence[Fraction], order: int) -> Series:

@@ -141,6 +141,30 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["ig", "--checks", ","], "argument --checks: must list distinct checks"),
+        (["ig", "--checks", "two-ortho,two-ortho"], "argument --checks: must list distinct"),
+        (["--all", "ig", "--checks", "two-ortho"], "verify: pass one or more family names"),
+        (["ig", "--m0=2", "--inject-typo", "table1-p2", "--checks", "two-ortho"],
+         "error: --inject-typo: no selected family has a printed row"),
+        (["ig", "--inject-typo", "table1-p2", "--checks", "bruno,genfun"],
+         "error: --inject-typo: no selected check reads P_2"),
+        (["negative-binomial", "--checks", "genfun"],
+         "error: --checks genfun: no selected family has closed forms"),
+    ),
+)
+def test_verify_run_that_checks_nothing_or_ignores_a_flag_is_usage_error(capsys, argv, message):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    # One line, after argparse's usage block when argparse rejects the value.
+    assert message in err[-1]
+    assert len(err) == 1 or err[0].startswith("usage: ")
+
+
 def test_verify_options_reject_low_exact_order():
     with pytest.raises(ValueError):
         VerifyOptions(exact_order=3)

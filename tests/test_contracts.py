@@ -15,6 +15,10 @@ The catalog goldens are the `families` listing in text and JSON; they pin
 every row's name, class, params, mean domain, V(m) and closed-forms flag,
 and are compared byte for byte.
 
+A perturbation test checks that the comparisons can fail: one Gram entry,
+one verdict and the probe points, each changed alone, must make a body
+differ from its golden.
+
 After a change meant to alter these bodies, regenerate them with
 
     PYTHONPATH=src python tests/test_contracts.py
@@ -22,6 +26,7 @@ After a change meant to alter these bodies, regenerate them with
 and update the exit codes below if they changed.
 """
 
+import dataclasses
 import importlib.util
 import json
 import platform
@@ -30,7 +35,9 @@ from pathlib import Path
 import pytest
 import scipy
 
+import nefpoly.report
 from nefpoly.cli import main
+from nefpoly.ortho import GramMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -113,15 +120,73 @@ def test_float_golden_non_float_leaves(name, float_runs):
     assert without_floats(json.loads(body)) == without_floats(json.loads(golden(name)))
 
 
-def test_float_golden_float_leaves(float_runs):
+def skip_unless_float_versions() -> None:
+    """Skip the calling test unless this is where the float goldens were recorded."""
     recorded, here = json.loads(FLOAT_VERSIONS.read_text(encoding="utf-8")), versions()
     if recorded != here:
         pytest.skip(
             f"float leaves not compared: goldens recorded on Python {recorded['python']} / "
             f"SciPy {recorded['scipy']}, running Python {here['python']} / SciPy {here['scipy']}"
         )
+
+
+def test_float_golden_float_leaves(float_runs):
+    skip_unless_float_versions()
     for name in FLOAT_CASES:
         assert float_runs[name][1] == golden(name), name
+
+
+# Perturbations the golden comparisons must notice, one at a time: each
+# wraps a name `nefpoly.report` calls and changes one thing in its result.
+
+
+def _gram_entry_plus_1(monkeypatch):
+    orig = nefpoly.report.gram
+
+    def perturbed(seq, moments):
+        rows = [list(row) for row in orig(seq, moments).entries]
+        rows[2][2] += 1
+        return GramMatrix(entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(nefpoly.report, "gram", perturbed)
+
+
+def _full_ortho_verdict_flipped(monkeypatch):
+    orig = nefpoly.report.check_full_orthogonality
+
+    def perturbed(g):
+        rep = orig(g)
+        flipped = "neither" if rep.verdict == "fully_orthogonal" else "fully_orthogonal"
+        return dataclasses.replace(rep, verdict=flipped)
+
+    monkeypatch.setattr(nefpoly.report, "check_full_orthogonality", perturbed)
+
+
+def _probe_point_shifted(monkeypatch):
+    orig = nefpoly.report.partial_sum_density
+
+    def perturbed(seq, forms, x, **kwargs):
+        return orig(seq, forms, x=x + 1e-3, **kwargs)
+
+    monkeypatch.setattr(nefpoly.report, "partial_sum_density", perturbed)
+
+
+@pytest.mark.parametrize(
+    "perturb, name",
+    (
+        (_gram_entry_plus_1, "verify-anchor-7-9"),
+        (_full_ortho_verdict_flipped, "verify-anchor-7-9"),
+        (_probe_point_shifted, "verify-anchor-2-9-float"),
+    ),
+    ids=("gram-entry+1", "full-ortho-verdict-flipped", "probe-x+1e-3"),
+)
+def test_golden_comparison_sees_a_perturbation(monkeypatch, tmp_path, perturb, name):
+    if name in FLOAT_CASES:
+        skip_unless_float_versions()
+    args, _ = {**CASES, **FLOAT_CASES}[name]
+    perturb(monkeypatch)
+    _, body = run_body(args, tmp_path / "report.json")
+    assert body != golden(name)
 
 
 def test_tracer_finds_every_name_it_wraps():

@@ -13,6 +13,7 @@ from nefpoly import (
     recurrence_sequence,
     sheffer_check,
 )
+from nefpoly.cli import main
 from nefpoly.nef_model import UnsupportedFamilyError
 
 
@@ -173,3 +174,21 @@ class TestQuadrature:
         seq = recurrence_sequence(family.variance_at(m0), 4)
         with pytest.raises(UnsupportedFamilyError):
             quadrature_crosscheck(forms, seq, 0, 0)
+
+
+# Seed-1 anchor-sweep anchors below 1 where the float layer passes, next to
+# the ones where it fails (ig at m0 <= 3/5, gamma <= 1/2, poisson 1/7): a
+# change to a float evaluation that flips one of these verdicts shows here.
+PASSING_SMALL_ANCHORS = [
+    ("ig", "3/4"), ("ig", "8/9"),
+    ("gamma", "3/5"), ("gamma", "2/3"), ("gamma", "6/7"),
+    ("poisson", "1/6"), ("poisson", "1/5"), ("poisson", "1/4"), ("poisson", "2/7"),
+    ("poisson", "3/8"), ("poisson", "2/5"), ("poisson", "1/2"), ("poisson", "3/5"),
+    ("poisson", "3/4"), ("poisson", "7/9"),
+]
+
+
+@pytest.mark.parametrize("family, m0", PASSING_SMALL_ANCHORS)
+def test_genfun_passes_at_small_anchors(capsys, family, m0):
+    assert main(["verify", family, f"--m0={m0}", "--checks", "genfun"]) == 0
+    capsys.readouterr()

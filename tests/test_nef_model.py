@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given
-from hypothesis import strategies as st
 
 from nefpoly import (
     SingularVarianceError,
@@ -15,24 +14,11 @@ from nefpoly import (
     lookup,
     moment_table,
     psi_series,
-    raw_moments,
 )
 from nefpoly.families import CATALOG
 
-from conftest import rationals
+from conftest import rationals, variance_specs
 from oracles import cumulants_via_inversion, eval_rational
-
-# random-but-valid variance specs: a0 > 0, arbitrary a1..a3
-variance_specs = st.builds(
-    VarianceSpec,
-    m0=rationals,
-    a=st.tuples(
-        st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
-        rationals,
-        rationals,
-        rationals,
-    ),
-)
 
 
 def ig_moment_oracle(n):
@@ -166,11 +152,6 @@ class TestMoments:
         )
         want = (Fraction(1),) + want[1:]
         assert got.mom == want
-
-    def test_insufficient_cumulants_rejected(self):
-        k = cumulants(lookup("ig").variance_at(1), 3)
-        with pytest.raises(ValueError):
-            raw_moments(k, 5)
 
     @given(spec=variance_specs)
     def test_moment_invariants(self, spec):

@@ -278,9 +278,3 @@ class TestRecoverFromGram:
         )
         with pytest.raises(DegenerateFamilyError):
             recover_variance_from_gram(GramMatrix(entries=entries))
-
-    def test_attached_to_passing_two_ortho_report(self):
-        _, seq, mom = ig_setup(6)
-        rep = check_two_orthogonality(gram(seq, mom))
-        assert rep.recovered is not None
-        assert (rep.recovered.a0, rep.recovered.a2, rep.recovered.a3) == (1, 3, 1)

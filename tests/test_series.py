@@ -5,45 +5,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nefpoly import series
+from nefpoly import kpsi_series, psi_series
 
-from conftest import nonzero_rationals, rationals
-from oracles import compose, revert
+from conftest import nonzero_rationals, rationals, variance_specs
+from oracles import compose, multiply, revert
 
 ORDER = 8
 
 
-def binom_series_coeff(alpha, n):
-    """n-th coefficient of (1 + u)**alpha via the falling-factorial oracle."""
-    c = Fraction(1)
-    for k in range(n):
-        c *= Fraction(alpha - k, k + 1)
-    return c
+def derivative(c):
+    """Term-wise derivative of a series, one order shorter."""
+    return [k * ck for k, ck in enumerate(c) if k >= 1]
 
 
-def test_reciprocal_of_cubic_matches_binomial_oracle():
-    # 1/(1+u)^3 has the alternating triangular-number coefficients
-    got = series.reciprocal([Fraction(1), 3, 3, 1], 5)
-    want = [binom_series_coeff(-3, n) for n in range(6)]
-    assert got == want == [1, -3, 6, -10, 15, -21]
-
-
-def test_reciprocal_needs_nonzero_constant():
-    with pytest.raises(ZeroDivisionError):
-        series.reciprocal([Fraction(0), 1], 3)
-
-
-def test_integrate_divides_by_new_exponent():
-    got = series.integrate([Fraction(1), 2, 3], 4)
-    assert got == [0, 1, 1, 1, 0]
-
-
-@given(c=st.lists(rationals, min_size=1, max_size=5))
-def test_reciprocal_multiplies_back_to_one(c):
-    c = [Fraction(1) + abs(c[0])] + c[1:]  # keep the constant term nonzero
-    inv = series.reciprocal(c, ORDER)
-    prod = series.multiply(c, inv, ORDER)
-    assert prod == [Fraction(1)] + [Fraction(0)] * ORDER
+@given(spec=variance_specs)
+def test_psi_and_kpsi_solve_their_defining_equations(spec):
+    # V(m0 + u) psi'(u) = 1 and (k o psi)'(u) = (m0 + u) psi'(u), through
+    # the order the truncated series determine.
+    psi, kpsi = psi_series(spec, ORDER), kpsi_series(spec, ORDER)
+    assert psi[0] == kpsi[0] == 0
+    dpsi = derivative(psi)
+    one = [Fraction(1)] + [Fraction(0)] * (ORDER - 1)
+    assert multiply(list(spec.a), dpsi, ORDER - 1) == one
+    assert derivative(kpsi) == multiply([spec.m0, Fraction(1)], dpsi, ORDER - 1)
 
 
 def test_compose_requires_zero_inner_constant():
