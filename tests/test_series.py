@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nefpoly import kpsi_series, psi_series
+from nefpoly import VarianceSpec, kpsi_series, psi_series
 
 from conftest import nonzero_rationals, rationals, variance_specs
 from oracles import compose, multiply, revert
@@ -19,15 +19,28 @@ def derivative(c):
 
 
 @given(spec=variance_specs)
-def test_psi_and_kpsi_solve_their_defining_equations(spec):
-    # V(m0 + u) psi'(u) = 1 and (k o psi)'(u) = (m0 + u) psi'(u), through
-    # the order the truncated series determine.
-    psi, kpsi = psi_series(spec, ORDER), kpsi_series(spec, ORDER)
-    assert psi[0] == kpsi[0] == 0
-    dpsi = derivative(psi)
+def test_reciprocal_multiplies_back_to_one(spec):
+    # psi' is the reciprocal of V(m0 + u): their product is 1 through the
+    # order the truncated series determine.
+    psi = psi_series(spec, ORDER)
+    assert psi[0] == 0
     one = [Fraction(1)] + [Fraction(0)] * (ORDER - 1)
-    assert multiply(list(spec.a), dpsi, ORDER - 1) == one
-    assert derivative(kpsi) == multiply([spec.m0, Fraction(1)], dpsi, ORDER - 1)
+    assert multiply(list(spec.a), derivative(psi), ORDER - 1) == one
+
+
+def test_integrate_divides_by_new_exponent():
+    # V(m) = m**2 at m0 = 1: 1/V(1 + u) = sum (-1)**n (n + 1) u**n, and
+    # dividing each term by its new exponent n + 1 leaves psi = u - u**2 + ...
+    spec = VarianceSpec(m0=1, a=(1, 2, 1, 0))
+    assert psi_series(spec, ORDER) == [0] + [(-1) ** (j - 1) for j in range(1, ORDER + 1)]
+
+
+@given(spec=variance_specs)
+def test_psi_and_kpsi_solve_their_defining_equations(spec):
+    # (k o psi)'(u) = (m0 + u) psi'(u), anchored to vanish at u = 0.
+    psi, kpsi = psi_series(spec, ORDER), kpsi_series(spec, ORDER)
+    assert kpsi[0] == 0
+    assert derivative(kpsi) == multiply([spec.m0, Fraction(1)], derivative(psi), ORDER - 1)
 
 
 def test_compose_requires_zero_inner_constant():
