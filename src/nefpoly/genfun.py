@@ -22,19 +22,17 @@ non-converged probe with a ``reason`` instead of an exception.  The Sheffer
 probe reuses the partial-sum engine verbatim with weight w = t*z (the two
 agree bitwise when handed identical float weights).
 
-Adaptive quadrature of P_n P_q against the base density on (0, inf)
-cross-checks exact Gram entries end to end, under the same guard; a family
-without such a density raises `UnsupportedFamilyError`.
+A nested exp-sinh trapezoid rule integrates P_n P_q against the base
+density on (0, inf) and so cross-checks exact Gram entries end to end,
+under the same guard; a family without such a density raises
+`UnsupportedFamilyError`.  The module needs only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy import integrate as _integrate
 
 from .families import RebasedForms, guarded
 from .ortho import GramMatrix
@@ -226,38 +224,13 @@ class QuadratureResult:
     reason: str | None = None  # why the base density could not be evaluated
 
 
-PANEL_GROWTH = 4.0  # each half-line panel is this many times as wide as the last
-PANEL_NEGLIGIBLE = 1e-13  # a panel contribution below this counts as negligible
-PANEL_CAP = 1e20  # no panel starts past this point
 # A quadrature converges when its error is <= max(ABS_TARGET, REL_TARGET * |value|).
 QUAD_REL_TARGET = 1e-8
 QUAD_ABS_TARGET = 1e-7
-
-
-def _integrate_halfline(f: Callable[[float], float], start: float) -> tuple[float, float]:
-    """Adaptive quadrature of f over [start, inf) by geometric panels.
-
-    A single QUADPACK call on an interval spanning many decades can place
-    all of its initial nodes past the region carrying the mass and converge
-    to the wrong answer without complaint; geometric panels keep every call
-    well conditioned.  Truncation is decided by panel *contributions*, not
-    integrand values: a power-law tail keeps contributing long after the
-    integrand itself looks negligible.  Two consecutive negligible panels
-    end the sweep (past the last sign change these tails decrease
-    monotonically).  Returns (value, error estimate incl. neglected tail).
-    """
-    total = 0.0
-    err = 0.0
-    left = start
-    small = 0
-    while left < PANEL_CAP and small < 2:
-        right = left * PANEL_GROWTH
-        v, e = _integrate.quad(f, left, right, epsabs=1e-14, epsrel=1e-12, limit=100)
-        total += v
-        err += e
-        small = small + 1 if abs(v) < PANEL_NEGLIGIBLE else 0
-        left = right
-    return total, err + PANEL_NEGLIGIBLE
+# The exp-sinh rule: trapezoid steps h = 1, 1/2, ..., 2^-QUAD_LEVELS in tau on
+# |tau| <= QUAD_T_MAX, where x = m0 exp(pi/2 sinh tau) spans m0 e^(+-43).
+QUAD_LEVELS = 6
+QUAD_T_MAX = 4
 
 
 def quadrature_crosscheck(
@@ -268,30 +241,31 @@ def quadrature_crosscheck(
 ) -> QuadratureResult:
     """Numerically integrate P_n P_q against the base density on (0, inf).
 
-    The lower tail is handled by the substitution y = 1/x (the density's
-    x -> 0+ behaviour is quadrature-hostile otherwise); both half-lines are
-    swept by geometric panels until the remaining contributions are
-    negligible.  Non-convergence, and a base density that cannot be
+    One nested exp-sinh (double-exponential) trapezoid rule: x = m0 exp(pi/2
+    sinh tau) centres the nodes on the base measure's mean and makes the
+    integrand decay double-exponentially in tau at both ends.  Each halving
+    of the step adds only the odd nodes.  The error estimate is the change
+    over the last halving plus the size of the terms at the cut-off
+    |tau| = QUAD_T_MAX.  Non-convergence, and an integrand that cannot be
     evaluated (``reason``), are reported through the flag, never raised.
     """
     pn, pq = seq.polys[n], seq.polys[q]
 
-    def integrand(x: float) -> float:
-        return pn.eval_float(x) * pq.eval_float(x) * forms.base_density(x)
-
-    split = max(forms.m0, 1.0)
-
-    def lower_sub(y: float) -> float:  # x = 1/y on (0, split]
-        return integrand(1.0 / y) / (y * y)
+    def term(tau: float) -> float:  # the integrand times dx/dtau
+        x = forms.m0 * math.exp(math.pi / 2 * math.sinh(tau))
+        dx = x * math.pi / 2 * math.cosh(tau)
+        return pn.eval_float(x) * pq.eval_float(x) * forms.base_density(x) * dx
 
     def integral() -> tuple[float, float]:
-        with warnings.catch_warnings():
-            # QUADPACK roundoff chatter is not a verdict; the achieved error
-            # bounds below are.
-            warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-            v1, e1 = _integrate_halfline(lower_sub, 1.0 / split)
-            v2, e2 = _integrate_halfline(integrand, split)
-        return v1 + v2, e1 + e2
+        value = total = sum(term(j) for j in range(-QUAD_T_MAX, QUAD_T_MAX + 1))
+        h = 1.0
+        for _ in range(QUAD_LEVELS):
+            h /= 2
+            k = round(QUAD_T_MAX / h)
+            total += sum(term(j * h) for j in range(1 - k, k, 2))  # the odd, new nodes
+            value, previous = h * total, value
+        edge = abs(term(-QUAD_T_MAX)) + abs(term(QUAD_T_MAX))
+        return value, abs(value - previous) + edge
 
     (value, err), reason = guarded(integral, failed=(math.nan, math.inf))
     converged = err <= max(QUAD_ABS_TARGET, QUAD_REL_TARGET * abs(value))  # err = inf on failure

@@ -42,6 +42,7 @@ from .polyseq import (
     compare_sequences,
     faa_di_bruno_sequence,
     recurrence_sequence,
+    scale_sequence,
 )
 from .ratpoly import Poly, RationalLike, rat
 from .table1 import PRINTED_ROWS, compare_with_printed
@@ -86,27 +87,37 @@ def _genfun_block(
     g: GramMatrix,
     opts: VerifyOptions,
 ) -> dict:
-    """Float probes on the shared sequence (order >= 30) and Gram (order >= 20)."""
-    xs = (-1.0, 0.0, 1.0) if forms.mean_domain == (-math.inf, math.inf) else (0.5, 1.0, 2.0)
+    """Float probes on the shared sequence (order >= 30) and Gram (order >= 20).
+
+    Every probe point and offset is scaled by s = min(1, r), with r the
+    distance from m0 to the mean-domain boundary: V vanishes only there for
+    every family with closed forms, so r is the radius of psi's series about
+    m0.  Quadrature integrates Q_n = t^n P_n with t ~ min(1, sqrt(a0)) and
+    compares with t^(n+q) G[n][q], keeping entries near 1 where P_n grows
+    like a0^(-n/2).
+    """
+    lo, hi = forms.mean_domain
+    s = min(1.0, forms.m0 - lo, hi - forms.m0)
+    xs = tuple(s * x for x in ((-1.0, 0.0, 1.0) if lo == -math.inf else (0.5, 1.0, 2.0)))
     series_tol, bilinear_tol = opts.tol(SERIES_ABS_TOL), opts.tol(BILINEAR_ABS_TOL)
     probes = {
         "partial_sum": [
             partial_sum_density(
-                seq, forms, x=x, m=forms.m0 + dm, order=SERIES_ORDER, abs_tol=series_tol
+                seq, forms, x=x, m=forms.m0 + s * dm, order=SERIES_ORDER, abs_tol=series_tol
             )
             for dm in (0.05, 0.1)
             for x in xs
         ],
         "sheffer": [
             sheffer_check(
-                seq, forms, t=rat("1/2"), z=z, x=x, order=SERIES_ORDER, abs_tol=series_tol
+                seq, forms, t=rat("1/2"), z=s * z, x=x, order=SERIES_ORDER, abs_tol=series_tol
             )
             for z in (0.05, 0.1)
             for x in xs
         ],
         "bilinear": [
             bilinear_identity(
-                forms, g, m=forms.m0 + dm, m_prime=forms.m0 + dmp,
+                forms, g, m=forms.m0 + s * dm, m_prime=forms.m0 + s * dmp,
                 order=BILINEAR_ORDER, abs_tol=bilinear_tol,
             )
             for dm in (-0.05, 0.0, 0.05)
@@ -115,14 +126,17 @@ def _genfun_block(
     }
     ok = all(p.converged for found in probes.values() for p in found)
 
-    quadrature = None
+    t = quadrature = None
     if forms.has_base_density:
+        a0 = seq.spec.a0  # isqrt(num*den)/den >= 1/den: t is never 0
+        t = min(Fraction(1), Fraction(math.isqrt(a0.numerator * a0.denominator), a0.denominator))
+        scaled = scale_sequence(seq.prefix(QUAD_ORDER), t)
         quadrature = []
         unevaluated = {"value": None, "error_estimate": None, "abs_diff": None}
         for n in range(0, QUAD_ORDER + 1):
             for q in range(n, QUAD_ORDER + 1 - n):
-                res = quadrature_crosscheck(forms, seq, n, q)
-                exact = g.entry(n, q)
+                res = quadrature_crosscheck(forms, scaled, n, q)
+                exact = t ** (n + q) * g.entry(n, q)
                 # An exact entry past float range cannot be compared at all.
                 diff, reason = guarded(lambda: abs(res.value - float(exact)), None)
                 reason = res.reason or reason
@@ -144,6 +158,7 @@ def _genfun_block(
     return {
         **{kind: [p.to_json() for p in found] for kind, found in probes.items()},
         "quadrature": quadrature,
+        "quadrature_t": None if t is None else str(t),
         "pass": ok,
     }
 
@@ -258,9 +273,9 @@ def _refuse_unreached(families: list[Family], opts: VerifyOptions) -> None:
         raise NefError("--inject-typo: no selected family has a printed row at its m0")
 
 
-def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
+def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool | None]:
     """Resolve a family's anchor, closed forms and printed row, then run
-    `verify_spec`; returns (block, passed)."""
+    `verify_spec`; returns (block, passed), passed None when nothing ran."""
     m0 = _anchor(family, opts)
     spec = family.variance_at(m0)
     forms = None
@@ -295,7 +310,11 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
         for note in cmp.notes:
             discrepancies.append({"kind": "note", "text": note})
 
-    passed = consistent and all(c["pass"] for c in checks.values() if c is not None)
+    verdicts = [c["pass"] for c in checks.values() if c is not None]
+    if printed is not None:
+        verdicts.append(consistent)
+    # A block that checked nothing has no verdict, not a pass.
+    passed = all(verdicts) if verdicts else None
     block = {
         "family": family.name,
         "params": {k: str(v) for k, v in family.params.items()},
@@ -307,6 +326,7 @@ def verify_family(family: Family, opts: VerifyOptions) -> tuple[dict, bool]:
         "checks": checks,
         "table1_discrepancies": discrepancies,
         "pass": passed,
+        **({} if verdicts else {"reason": "no selected check applies to this family"}),
     }
     return block, passed
 
@@ -319,7 +339,7 @@ def build_report(families: list[Family], opts: VerifyOptions) -> tuple[dict, boo
     for fam in families:
         block, ok = verify_family(fam, opts)
         blocks.append(block)
-        overall = overall and ok
+        overall = overall and ok is not False
     report = {
         "header": {
             "tool": "nefpoly",

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -241,15 +245,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["body"]["families"][0]["m0"] == "-3/7"
 
+    # Probe points follow the anchor, so no in-domain anchor moves a probe
+    # out of its family's domain; test_genfun drives those guards directly.
     @pytest.mark.parametrize(
         "family, m0, reason",
         (
-            ("ig", "1/100", "OverflowError"),  # exp overflows in the density
-            ("ig", "1/10", "ValueError"),  # theta + theta' leaves k's domain
-            ("poisson", "1/50", "MeanDomainError"),  # probe mean m0 - 0.05 < 0
             ("ig", "1/10000", "OverflowError"),  # a coefficient of P_30 exceeds float range
             ("normal", "-12416752934984733167", "OverflowError"),  # P_30 overflows here too
-            # Gram entries past float range: the quadrature cannot compare them
+            # coefficients of Q_n = t^n P_n past float range: quadrature entries unevaluated
             pytest.param("gamma", TINY, "OverflowError", id="gamma-1/10^40"),
             pytest.param("ig", TINY, "OverflowError", id="ig-1/10^40"),
         ),
@@ -304,10 +307,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "family, m0, group",
         (
-            pytest.param("ig", "1/1" + "0" * 15, "quadrature", id="ig-1/10^15"),
-            pytest.param("ig", "1/1" + "0" * 100, "quadrature", id="ig-1/10^100"),
-            pytest.param("gamma", "1/1" + "0" * 20, "quadrature", id="gamma-1/10^20"),
-            pytest.param("gamma", "1/1" + "0" * 150, "quadrature", id="gamma-1/10^150"),
+            # Q_n Q_q overflows at a far node where the density is 0: 0 * inf
+            pytest.param("ig", TINY, "quadrature", id="ig-1/10^40"),
+            pytest.param("ig", "1/1" + "0" * 50, "quadrature", id="ig-1/10^50"),
             pytest.param("normal", "1" + "0" * 200, "bilinear", id="normal-10^200"),
             pytest.param("normal", "-1" + "0" * 200, "bilinear", id="normal--10^200"),
         ),
@@ -370,6 +372,27 @@ class TestVerify:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["body"]["overall_pass"] is True
+
+
+def test_family_that_checked_nothing_is_not_a_pass(capsys):
+    code, out = run(capsys, "verify", "negative-binomial", "ig", "--checks", "genfun")
+    body = json.loads(out)["body"]
+    unchecked, checked = body["families"]
+    assert code == 0 and body["overall_pass"] is True
+    assert all(c is None for c in unchecked["checks"].values())
+    assert unchecked["pass"] is None
+    assert unchecked["reason"] == "no selected check applies to this family"
+    assert checked["pass"] is True and "reason" not in checked
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, nefpoly.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout == "False\n"
 
 
 def test_anchor_override_applies_to_verify(capsys):

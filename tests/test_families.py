@@ -68,6 +68,17 @@ class TestCatalog:
         with pytest.raises(MeanDomainError, match="binomial"):
             binomial(4).variance_at(5)
 
+    @pytest.mark.parametrize("name", CLOSED_FORM_FAMILIES)
+    def test_closed_form_variance_vanishes_only_at_the_boundary(self, name):
+        # psi' = 1/V is analytic off the zeros of V, so when they all sit at
+        # the mean domain's finite end, the distance from m0 to that end is
+        # the radius of psi's series about m0 (the report's probe scale).
+        family = lookup(name)
+        ends = [e for e in family.mean_domain if e is not None]
+        assert len(ends) <= 1
+        shifted = family.variance.taylor_at(ends[0]) if ends else family.variance
+        assert all(shifted.coeff(k) == 0 for k in range(shifted.degree))
+
     def test_unit_anchor_rows_match_recurrence_parameters(self):
         rows = {
             "ig": (1, 3, 3, 1),

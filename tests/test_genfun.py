@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from nefpoly import (
 )
 from nefpoly.cli import main
 from nefpoly.nef_model import UnsupportedFamilyError
+from nefpoly.polyseq import scale_sequence
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,29 @@ class TestSheffer:
             sheffer_check(ig["seq30"], ig["forms"], t=0, z=0.1, x=1.0)
 
 
+# No in-domain anchor moves a report's probe point to these; the guard
+# turns each exception into a reason on the probe.
+@pytest.mark.parametrize(
+    "probe, reason",
+    (
+        # exp(theta x - k(theta)) overflows at x = 2000, m = 3
+        (lambda ig: partial_sum_density(ig["seq30"], ig["forms"], x=2000.0, m=3.0),
+         "OverflowError: math range error"),
+        # theta + theta' = 1/4 is past k's domain theta <= 0
+        (lambda ig: bilinear_identity(ig["forms"], ig["gram20"], m=2.0, m_prime=2.0),
+         "ValueError: math domain error"),
+        (lambda ig: partial_sum_density(ig["seq30"], ig["forms"], x=1.0, m=-0.5),
+         "MeanDomainError: mean -0.5 outside mean domain (0.0, inf) of family 'ig'"),
+    ),
+    ids=("density-overflow", "cumulant-domain", "mean-domain"),
+)
+def test_probe_errors_are_reasons_not_raised(ig, probe, reason):
+    p = probe(ig)
+    assert p.reason == reason
+    assert not p.converged
+    assert p.to_json()["residual"] is None and p.to_json()["reason"] == reason
+
+
 class TestBilinear:
     def test_anchor_point_is_exactly_one(self, ig):
         probe = bilinear_identity(ig["forms"], ig["gram20"], m=1.0, m_prime=1.0)
@@ -156,15 +181,14 @@ class TestQuadrature:
         assert not res.converged
         assert res.reason == "ValueError: math domain error"
 
-    @pytest.mark.parametrize("m0", (10**170, 10**200, 10**300), ids=("10^170", "10^200", "10^300"))
-    def test_huge_split_gives_a_reason(self, m0):
-        # past a split of ~1.3e154 the lower-tail substitution x = 1/y
-        # divides by y*y, which underflows to 0
-        family = lookup("ig")
-        seq = recurrence_sequence(family.variance_at(m0), 1)
-        res = quadrature_crosscheck(family.rebase(m0), seq, 0, 0)
+    def test_non_finite_integral_gives_a_reason(self):
+        # Q_2 = 10^150 P_2 has float coefficients, but Q_2^2 overflows to inf,
+        # and inf * 0 at the far nodes is NaN
+        family = lookup("gamma")
+        seq = scale_sequence(recurrence_sequence(family.variance_at(1), 2), 10**150)
+        res = quadrature_crosscheck(family.rebase(1), seq, 2, 2)
         assert not res.converged
-        assert res.reason == "ZeroDivisionError: float division by zero"
+        assert res.reason == "FloatingPointError: non-finite result"
 
     # poisson is a lattice family; normal's density lives on the whole line
     @pytest.mark.parametrize("name, m0", (("poisson", 1), ("normal", 0)))
@@ -176,9 +200,9 @@ class TestQuadrature:
             quadrature_crosscheck(forms, seq, 0, 0)
 
 
-# Seed-1 anchor-sweep anchors below 1 where the float layer passes, next to
-# the ones where it fails (ig at m0 <= 3/5, gamma <= 1/2, poisson 1/7): a
-# change to a float evaluation that flips one of these verdicts shows here.
+# Seed-1 anchor-sweep anchors below 1 where the float layer passed even with
+# probe points fixed at m0 = 1's scale: a change to a float evaluation that
+# flips one of these verdicts shows here.
 PASSING_SMALL_ANCHORS = [
     ("ig", "3/4"), ("ig", "8/9"),
     ("gamma", "3/5"), ("gamma", "2/3"), ("gamma", "6/7"),
@@ -192,3 +216,21 @@ PASSING_SMALL_ANCHORS = [
 def test_genfun_passes_at_small_anchors(capsys, family, m0):
     assert main(["verify", family, f"--m0={m0}", "--checks", "genfun"]) == 0
     capsys.readouterr()
+
+
+# Where probe points fixed at m0 = 1's scale failed: the smallest sweep
+# anchors and the neighbours of PASSING_SMALL_ANCHORS.
+@pytest.mark.parametrize(
+    "family, m0",
+    [("ig", "1/8"), ("ig", "3/5"), ("gamma", "1/8"), ("gamma", "1/2"),
+     ("poisson", "1/8"), ("poisson", "1/7")],
+)
+def test_probe_geometry_follows_the_anchor(capsys, family, m0):
+    assert main(["verify", family, f"--m0={m0}", "--checks", "genfun"]) == 0
+    genfun = json.loads(capsys.readouterr().out)["body"]["families"][0]["checks"]["genfun"]
+    s = float(Fraction(m0))  # min(1, distance to the boundary 0)
+    assert [p["x"] for p in genfun["partial_sum"][:3]] == [s * x for x in (0.5, 1.0, 2.0)]
+    assert [p["z"] for p in genfun["sheffer"][::3]] == [s * z for z in (0.05, 0.1)]
+    if family != "poisson":  # quadrature runs on t^n P_n with t ~ sqrt(a0) < 1
+        t, a0 = Fraction(genfun["quadrature_t"]), lookup(family).variance_at(m0).a0
+        assert 0 < t * t <= a0 < (t + Fraction(1, t.denominator)) ** 2
